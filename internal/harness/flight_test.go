@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"testing"
 
 	"github.com/spear-repro/magus/internal/core"
@@ -78,6 +79,18 @@ func TestFlightRecordsRun(t *testing.T) {
 			t.Fatalf("dump line does not parse: %v (%s)", err, ln)
 		}
 	}
+}
+
+// TestFlightGolden pins the ring's JSONL bytes for the flightRun
+// scenario. Regenerate with -update.
+func TestFlightGolden(t *testing.T) {
+	ring := flight.NewRing(4096)
+	flightRun(t, ring)
+	var buf bytes.Buffer
+	if err := ring.DumpJSONL(&buf, "golden"); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "flight.golden.jsonl"), buf.Bytes())
 }
 
 // TestFlightDeterministic: two identical armed runs record identical

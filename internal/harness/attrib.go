@@ -9,13 +9,14 @@ import (
 )
 
 // Everything in this file is wired only when Options.Tenants is set. A
-// single-tenant run adds no component and no meter, so it stays
-// byte-identical to the seed with the zero-alloc tick contract intact.
+// single-tenant run gives the probe no attribution sink and builds no
+// meter, so it stays byte-identical with the zero-alloc tick contract
+// intact.
 
 // attribSampler drives the per-tenant energy meter once per engine
 // step: it reads the power the node just computed and the live tenant
-// share surface the multiplexer publishes through the node. It must be
-// added to the engine after the node component.
+// share surface the multiplexer publishes through the node. The probe
+// steps it after the node.
 type attribSampler struct {
 	meter *attrib.Meter
 	n     *node.Node
@@ -26,8 +27,8 @@ type attribSampler struct {
 	exact, est []*obs.Gauge
 }
 
-// Step implements sim.Component.
-func (a *attribSampler) Step(now, dt time.Duration) {
+// step attributes one engine step's energy.
+func (a *attribSampler) step(dt time.Duration) {
 	var gpuW float64
 	for i := 0; i < a.gpus; i++ {
 		gpuW += a.n.GPUPowerW(i)
@@ -42,10 +43,10 @@ func (a *attribSampler) Step(now, dt time.Duration) {
 	}
 }
 
-// installAttrib wires the attribution meter into a co-located run and,
-// when an observer is attached, the per-tenant energy metric family
-// with the DCGM-style estimated label.
-func installAttrib(meter *attrib.Meter, n *node.Node, names []string, o *obs.Observer) *attribSampler {
+// newAttribSampler wraps the attribution meter of a co-located run and,
+// when an observer is attached, registers the per-tenant energy metric
+// family with the DCGM-style estimated label.
+func newAttribSampler(meter *attrib.Meter, n *node.Node, names []string, o *obs.Observer) *attribSampler {
 	a := &attribSampler{meter: meter, n: n, gpus: n.GPUCount()}
 	if o != nil {
 		vec := o.Registry().GaugeVec("magus_tenant_energy_joules",

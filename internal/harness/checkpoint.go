@@ -65,7 +65,9 @@ func (s *Steppable) Checkpoint() (*checkpoint.Data, error) {
 		d.RAPL = &st
 	}
 
-	switch g := s.gov.(type) {
+	// A power cap keeps no state of its own past Attach, which resume
+	// replays; the policy beneath it carries the run's governor state.
+	switch g := LookupGovernor(s.gov).Policy.(type) {
 	case *core.MAGUS:
 		st := g.State()
 		d.Magus = &st
@@ -94,29 +96,30 @@ func (s *Steppable) Checkpoint() (*checkpoint.Data, error) {
 		d.Registry = o.Registry().StateDump()
 		d.EventCount = o.Events().Count()
 		d.Health = int(o.Health())
+		ro := s.sinks.obs
 		ros := &checkpoint.RunObserverState{
-			Next:       s.ro.next,
-			LastHealth: int(s.ro.lastHealth),
-			LastTally:  s.ro.lastTally,
+			Next:       ro.next,
+			LastHealth: int(ro.lastHealth),
+			LastTally:  ro.lastTally,
 		}
-		for _, del := range s.ro.deltas {
+		for _, del := range ro.deltas {
 			ros.DeltaLast = append(ros.DeltaLast, del.last)
 		}
 		d.RunObs = ros
-		if s.ro.do != nil {
+		if ro.do != nil {
 			d.DecisionObs = &checkpoint.DecisionObserverState{
-				HavePrev:   s.ro.do.havePrev,
-				PrevAt:     s.ro.do.prevAt,
-				PrevTrend:  int(s.ro.do.prevTrend),
-				PrevPhase:  s.ro.do.prevPhase,
-				PrevHealth: int(s.ro.do.prevHealth),
+				HavePrev:   ro.do.havePrev,
+				PrevAt:     ro.do.prevAt,
+				PrevTrend:  int(ro.do.prevTrend),
+				PrevPhase:  ro.do.prevPhase,
+				PrevHealth: int(ro.do.prevHealth),
 			}
 		}
 	}
 
 	if s.opt.Spans != nil {
 		d.Tracer = s.opt.Spans.State()
-		d.SpanLastPhase = s.ss.lastPhase
+		d.SpanLastPhase = s.sinks.spans.lastPhase
 	}
 	return d, nil
 }
@@ -226,39 +229,23 @@ func Resume(d *checkpoint.Data, ro ResumeOptions) (*Steppable, error) {
 		}
 	}
 
-	switch g := st.gov.(type) {
+	var gerr error
+	switch g := LookupGovernor(st.gov).Policy.(type) {
 	case *core.MAGUS:
-		if d.Magus == nil {
-			return nil, fmt.Errorf("harness: checkpoint carries no MAGUS state for %q", d.GovName)
-		}
-		if err := g.Restore(*d.Magus); err != nil {
-			return nil, fmt.Errorf("harness: resume: %w", err)
-		}
+		gerr = restoreState(d.Magus, g.Restore)
 	case *core.PerSocket:
-		if d.PerSocket == nil {
-			return nil, fmt.Errorf("harness: checkpoint carries no per-socket state for %q", d.GovName)
-		}
-		if err := g.Restore(*d.PerSocket); err != nil {
-			return nil, fmt.Errorf("harness: resume: %w", err)
-		}
+		gerr = restoreState(d.PerSocket, g.Restore)
 	case *governor.UPS:
-		if d.UPS == nil {
-			return nil, fmt.Errorf("harness: checkpoint carries no UPS state")
-		}
-		if err := g.Restore(*d.UPS); err != nil {
-			return nil, fmt.Errorf("harness: resume: %w", err)
-		}
+		gerr = restoreState(d.UPS, g.Restore)
 	case *governor.DUF:
-		if d.DUF == nil {
-			return nil, fmt.Errorf("harness: checkpoint carries no DUF state")
-		}
-		if err := g.Restore(*d.DUF); err != nil {
-			return nil, fmt.Errorf("harness: resume: %w", err)
-		}
+		gerr = restoreState(d.DUF, g.Restore)
 	case *governor.Default, *governor.Static:
 		st.env.RestoreShadow(d.Shadow)
 	default:
 		return nil, fmt.Errorf("harness: governor %s (%T) is not checkpointable", d.GovName, st.gov)
+	}
+	if gerr != nil {
+		return nil, fmt.Errorf("harness: resume %s: %w", d.GovName, gerr)
 	}
 
 	if (st.rec != nil) != (d.Recorder != nil) {
@@ -277,25 +264,26 @@ func Resume(d *checkpoint.Data, ro ResumeOptions) (*Steppable, error) {
 		}
 		o.Events().RestoreCount(d.EventCount)
 		o.SetHealth(obs.Health(d.Health))
-		st.ro.next = d.RunObs.Next
-		st.ro.lastHealth = resilient.Health(d.RunObs.LastHealth)
-		if len(d.RunObs.DeltaLast) != len(st.ro.deltas) {
+		ro := st.sinks.obs
+		ro.next = d.RunObs.Next
+		ro.lastHealth = resilient.Health(d.RunObs.LastHealth)
+		if len(d.RunObs.DeltaLast) != len(ro.deltas) {
 			return nil, fmt.Errorf("harness: resume has %d counter deltas, run registered %d",
-				len(d.RunObs.DeltaLast), len(st.ro.deltas))
+				len(d.RunObs.DeltaLast), len(ro.deltas))
 		}
-		for i, del := range st.ro.deltas {
+		for i, del := range ro.deltas {
 			del.last = d.RunObs.DeltaLast[i]
 		}
-		st.ro.lastTally = d.RunObs.LastTally
-		if (st.ro.do != nil) != (d.DecisionObs != nil) {
+		ro.lastTally = d.RunObs.LastTally
+		if (ro.do != nil) != (d.DecisionObs != nil) {
 			return nil, fmt.Errorf("harness: resume decision-hook presence mismatch")
 		}
-		if st.ro.do != nil {
-			st.ro.do.havePrev = d.DecisionObs.HavePrev
-			st.ro.do.prevAt = d.DecisionObs.PrevAt
-			st.ro.do.prevTrend = core.Trend(d.DecisionObs.PrevTrend)
-			st.ro.do.prevPhase = d.DecisionObs.PrevPhase
-			st.ro.do.prevHealth = resilient.Health(d.DecisionObs.PrevHealth)
+		if ro.do != nil {
+			ro.do.havePrev = d.DecisionObs.HavePrev
+			ro.do.prevAt = d.DecisionObs.PrevAt
+			ro.do.prevTrend = core.Trend(d.DecisionObs.PrevTrend)
+			ro.do.prevPhase = d.DecisionObs.PrevPhase
+			ro.do.prevHealth = resilient.Health(d.DecisionObs.PrevHealth)
 		}
 	}
 
@@ -303,7 +291,16 @@ func Resume(d *checkpoint.Data, ro ResumeOptions) (*Steppable, error) {
 		if err := ro.Spans.Restore(d.Tracer); err != nil {
 			return nil, fmt.Errorf("harness: resume: %w", err)
 		}
-		st.ss.lastPhase = d.SpanLastPhase
+		st.sinks.spans.lastPhase = d.SpanLastPhase
 	}
 	return st, nil
+}
+
+// restoreState applies one governor family's captured state, refusing a
+// checkpoint that carries none for that family.
+func restoreState[S any](st *S, restore func(S) error) error {
+	if st == nil {
+		return fmt.Errorf("checkpoint carries no %T", st)
+	}
+	return restore(*st)
 }

@@ -109,114 +109,141 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	for trial := 0; trial < trials; trial++ {
 		gov := diffGovernors[rng.Intn(len(diffGovernors))]
-		cfg := configs[rng.Intn(len(configs))]()
-		prog := mustProg(t, progs[rng.Intn(len(progs))])
-		planName := plans[rng.Intn(len(plans))]
-		seed := rng.Int63n(1 << 32)
-		withObs := rng.Intn(2) == 0
-		withSpans := rng.Intn(2) == 0
-		var traceInterval time.Duration
+		tc := diffTrial{
+			cfg:      configs[rng.Intn(len(configs))](),
+			prog:     mustProg(t, progs[rng.Intn(len(progs))]),
+			planName: plans[rng.Intn(len(plans))],
+			seed:     rng.Int63n(1 << 32),
+			withObs:  rng.Intn(2) == 0,
+			makeGov:  gov.make,
+		}
+		tc.withSpans = rng.Intn(2) == 0
 		if rng.Intn(2) == 0 {
-			traceInterval = 100 * time.Millisecond
+			tc.traceInterval = 100 * time.Millisecond
 		}
 		// Workloads never finish before their nominal duration (the
 		// node can only slow demand down), so any fraction below 1 is
 		// a valid in-flight checkpoint time.
 		frac := 0.1 + 0.8*rng.Float64()
-		at := time.Duration(frac * float64(prog.NominalDuration()))
+		tc.at = time.Duration(frac * float64(tc.prog.NominalDuration()))
 
 		label := fmt.Sprintf("trial%d/%s/%s/%s/faults=%q/obs=%v/spans=%v/at=%v",
-			trial, cfg.Name, prog.Name, gov.name, planName, withObs, withSpans, at)
-		t.Run(label, func(t *testing.T) {
-			newOpts := func() (Options, *obs.Observer, *bytes.Buffer, *spans.Tracer) {
-				opt := Options{Seed: seed, TraceInterval: traceInterval}
-				if planName != "" {
-					plan, ok := faults.Preset(planName)
-					if !ok {
-						t.Fatalf("no fault preset %q", planName)
-					}
-					plan.Seed = seed
-					opt.Faults = plan
-				}
-				var (
-					o      *obs.Observer
-					events *bytes.Buffer
-					tr     *spans.Tracer
-				)
-				if withObs {
-					events = &bytes.Buffer{}
-					o = obs.New(obs.NewRegistry(), events)
-					opt.Obs = o
-				}
-				if withSpans {
-					tr = spans.New(core.DefaultConfig().Window)
-					opt.Spans = tr
-				}
-				return opt, o, events, tr
-			}
-
-			// Reference: the uninterrupted run.
-			wantOpt, wantObs, wantEvents, wantTr := newOpts()
-			wantRes, err := Run(cfg, prog, gov.make(), wantOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := collectArtifacts(t, wantRes, wantObs, wantEvents, wantTr)
-
-			// Interrupted run: advance to the checkpoint time and
-			// capture. Its event prefix stays in this buffer.
-			preOpt, _, preEvents, _ := newOpts()
-			pre, err := NewSteppable(cfg, prog, gov.make(), preOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if done, err := pre.Advance(at); err != nil {
-				t.Fatal(err)
-			} else if done {
-				t.Fatalf("run finished before checkpoint time %v", at)
-			}
-			data, err := pre.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Round-trip through the wire format so the differential
-			// also covers the envelope codec.
-			blob, err := checkpoint.Encode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			decoded, err := checkpoint.Decode(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Resume with fresh per-run objects and drive to
-			// completion in ragged chunks.
-			_, postObs, postEvents, postTr := newOpts()
-			res, err := Resume(decoded, ResumeOptions{Gov: gov.make(), Obs: postObs, Spans: postTr})
-			if err != nil {
-				t.Fatal(err)
-			}
-			chunks := []time.Duration{
-				1300 * time.Millisecond, 7 * time.Millisecond, 2 * time.Second, 333 * time.Millisecond,
-			}
-			for i := 0; !res.Done(); i++ {
-				if _, err := res.Advance(chunks[i%len(chunks)]); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			got := collectArtifacts(t, res.Result(), postObs, postEvents, postTr)
-			if withObs {
-				// The event stream splits across the interruption: the
-				// original prefix plus the resumed suffix must equal
-				// the uninterrupted stream.
-				got.events = append(append([]byte(nil), preEvents.Bytes()...), postEvents.Bytes()...)
-			}
-			compareArtifacts(t, label, got, want)
-		})
+			trial, tc.cfg.Name, tc.prog.Name, gov.name, tc.planName, tc.withObs, tc.withSpans, tc.at)
+		t.Run(label, func(t *testing.T) { tc.run(t, label) })
 	}
+
+	// A power cap is transparent to checkpointing: the policy beneath it
+	// carries the governor state, and resume replays the cap's Attach.
+	capped := diffTrial{
+		cfg: node.IntelA100(), prog: mustProg(t, "srad"), planName: "pcm-flaky", seed: 5,
+		withObs: true, withSpans: true, traceInterval: 100 * time.Millisecond, at: 9 * time.Second,
+		makeGov: func() governor.Governor { return governor.WithPowerCap(core.New(core.DefaultConfig()), 400) },
+	}
+	t.Run("capped-magus", func(t *testing.T) { capped.run(t, "capped-magus") })
+}
+
+// diffTrial is one cell of the checkpoint/resume differential.
+type diffTrial struct {
+	cfg                node.Config
+	prog               *workload.Program
+	planName           string
+	seed               int64
+	withObs, withSpans bool
+	traceInterval      time.Duration
+	at                 time.Duration
+	makeGov            func() governor.Governor
+}
+
+// run checks that checkpointing the cell at tc.at, encoding, decoding
+// and resuming to completion reproduces the uninterrupted run's bytes.
+func (tc diffTrial) run(t *testing.T, label string) {
+	newOpts := func() (Options, *obs.Observer, *bytes.Buffer, *spans.Tracer) {
+		opt := Options{Seed: tc.seed, TraceInterval: tc.traceInterval}
+		if tc.planName != "" {
+			plan, ok := faults.Preset(tc.planName)
+			if !ok {
+				t.Fatalf("no fault preset %q", tc.planName)
+			}
+			plan.Seed = tc.seed
+			opt.Faults = plan
+		}
+		var (
+			o      *obs.Observer
+			events *bytes.Buffer
+			tr     *spans.Tracer
+		)
+		if tc.withObs {
+			events = &bytes.Buffer{}
+			o = obs.New(obs.NewRegistry(), events)
+			opt.Obs = o
+		}
+		if tc.withSpans {
+			tr = spans.New(core.DefaultConfig().Window)
+			opt.Spans = tr
+		}
+		return opt, o, events, tr
+	}
+
+	// Reference: the uninterrupted run.
+	wantOpt, wantObs, wantEvents, wantTr := newOpts()
+	wantRes, err := Run(tc.cfg, tc.prog, tc.makeGov(), wantOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := collectArtifacts(t, wantRes, wantObs, wantEvents, wantTr)
+
+	// Interrupted run: advance to the checkpoint time and capture. Its
+	// event prefix stays in this buffer.
+	preOpt, _, preEvents, _ := newOpts()
+	pre, err := NewSteppable(tc.cfg, tc.prog, tc.makeGov(), preOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := pre.Advance(tc.at); err != nil {
+		t.Fatal(err)
+	} else if done {
+		t.Fatalf("run finished before checkpoint time %v", tc.at)
+	}
+	data, err := pre.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Round-trip through the wire format so the differential also
+	// covers the envelope codec.
+	blob, err := checkpoint.Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := checkpoint.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Resume with fresh per-run objects and drive to completion in
+	// ragged chunks.
+	_, postObs, postEvents, postTr := newOpts()
+	res, err := Resume(decoded, ResumeOptions{Gov: tc.makeGov(), Obs: postObs, Spans: postTr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := []time.Duration{
+		1300 * time.Millisecond, 7 * time.Millisecond, 2 * time.Second, 333 * time.Millisecond,
+	}
+	for i := 0; !res.Done(); i++ {
+		if _, err := res.Advance(chunks[i%len(chunks)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got := collectArtifacts(t, res.Result(), postObs, postEvents, postTr)
+	if tc.withObs {
+		// The event stream splits across the interruption: the original
+		// prefix plus the resumed suffix must equal the uninterrupted
+		// stream.
+		got.events = append(append([]byte(nil), preEvents.Bytes()...), postEvents.Bytes()...)
+	}
+	compareArtifacts(t, label, got, want)
 }
 
 // TestCheckpointChunkedRagged extends the Steppable chunking contract

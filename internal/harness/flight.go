@@ -6,7 +6,6 @@ import (
 	"github.com/spear-repro/magus/internal/core"
 	"github.com/spear-repro/magus/internal/faults"
 	"github.com/spear-repro/magus/internal/flight"
-	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/resilient"
 )
 
@@ -18,39 +17,18 @@ import (
 //
 // Recording is strictly passive (reads of state the simulation already
 // computed) and allocation-free, so an armed run stays byte-identical
-// to an unarmed one; with Options.Flight nil no component is added and
-// the wiring is byte-for-byte the seed path.
+// to an unarmed one; with Options.Flight nil the probe carries no
+// flight sink.
 
-// flightObserver polls health and fault state each tick and records
-// transitions; decisions arrive through the governor's OnDecision
-// hook. It implements sim.Component.
+// flightObserver records sensor-health transitions and fault-tally
+// changes as the probe reports them, and every decision the probe fans
+// out to it.
 type flightObserver struct {
 	ring *flight.Ring
-	fset *faults.Set
-	hr   healthReporter
 
 	lastHealth resilient.Health
 	haveTally  bool
 	lastTally  faults.Tally
-}
-
-// installFlight wires the ring into a run: the per-tick transition
-// poller plus — when the governor exposes a decision stream — the
-// OnDecision hook (hooks append, so the metrics observer and the
-// flight recorder coexist).
-func installFlight(ring *flight.Ring, fset *faults.Set, gov governor.Governor) *flightObserver {
-	fo := &flightObserver{ring: ring, fset: fset}
-	if hr, ok := gov.(healthReporter); ok {
-		fo.hr = hr
-	}
-	hookTarget := gov
-	if pc, ok := gov.(*governor.PowerCapped); ok {
-		hookTarget = pc.Inner()
-	}
-	if src, ok := hookTarget.(interface{ OnDecision(func(core.Decision)) }); ok {
-		src.OnDecision(fo.onDecision)
-	}
-	return fo
 }
 
 // Decision outcome tags (constant strings: recording never allocates).
@@ -69,32 +47,29 @@ func flightOutcome(d core.Decision) string {
 	}
 }
 
-// onDecision records one governor decision: A is the requested uncore
+// decide records one governor decision: A is the requested uncore
 // target in GHz, B the sensed throughput in GB/s, C the sensor health.
-func (fo *flightObserver) onDecision(d core.Decision) {
+func (fo *flightObserver) decide(d core.Decision) {
 	fo.ring.Record(d.At.Seconds(), flight.KindDecision, flightOutcome(d),
 		d.TargetGHz, d.ThroughputGBs, float64(d.SensorHealth))
 }
 
-// Step implements sim.Component: record sensor-health transitions
-// (A=from, B=to) and fault-tally changes (A=total injected) as they
-// happen.
-func (fo *flightObserver) Step(now, dt time.Duration) {
-	if fo.hr != nil {
-		if h := fo.hr.SensorHealth(); h != fo.lastHealth {
-			fo.ring.Record(now.Seconds(), flight.KindHealth, h.String(),
-				float64(fo.lastHealth), float64(h), 0)
-			fo.lastHealth = h
-		}
+// step records a sensor-health transition (A=from, B=to) or a
+// fault-tally change (A=total injected) as it happens. A governor that
+// reports no health and a run with no plan hand in constant zero
+// values, so neither ever records.
+func (fo *flightObserver) step(now time.Duration, h resilient.Health, t faults.Tally) {
+	if h != fo.lastHealth {
+		fo.ring.Record(now.Seconds(), flight.KindHealth, h.String(),
+			float64(fo.lastHealth), float64(h), 0)
+		fo.lastHealth = h
 	}
-	if fo.fset != nil {
-		if t := fo.fset.Tally(); !fo.haveTally || t != fo.lastTally {
-			if fo.haveTally { // skip the all-zero arming snapshot
-				fo.ring.Record(now.Seconds(), flight.KindFault, "injected",
-					float64(t.Total()), 0, 0)
-			}
-			fo.haveTally = true
-			fo.lastTally = t
+	if !fo.haveTally || t != fo.lastTally {
+		if fo.haveTally { // skip the all-zero arming snapshot
+			fo.ring.Record(now.Seconds(), flight.KindFault, "injected",
+				float64(t.Total()), 0, 0)
 		}
+		fo.haveTally = true
+		fo.lastTally = t
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"github.com/spear-repro/magus/internal/obs"
 	"github.com/spear-repro/magus/internal/pcm"
 	"github.com/spear-repro/magus/internal/rapl"
-	"github.com/spear-repro/magus/internal/resilient"
 	"github.com/spear-repro/magus/internal/spans"
 	"github.com/spear-repro/magus/internal/telemetry"
 	"github.com/spear-repro/magus/internal/workload"
@@ -126,12 +125,6 @@ func Run(cfg node.Config, prog *workload.Program, gov governor.Governor, opt Opt
 		return Result{}, fmt.Errorf("harness: %s/%s/%s: %w", cfg.Name, st.wname, gov.Name(), err)
 	}
 	return st.finish(), nil
-}
-
-// healthReporter is the optional sensor-health surface governors expose
-// (MAGUS, UPS and DUF all implement it).
-type healthReporter interface {
-	SensorHealth() resilient.Health
 }
 
 // BuildEnv wires a governor environment onto a node: the node's MSR

@@ -5,57 +5,50 @@ import (
 	"time"
 
 	"github.com/spear-repro/magus/internal/core"
+	"github.com/spear-repro/magus/internal/flight"
 	"github.com/spear-repro/magus/internal/node"
-	"github.com/spear-repro/magus/internal/sim"
 	"github.com/spear-repro/magus/internal/workload"
 )
 
-// TestSteadyStateTickZeroAlloc pins the tentpole contract end to end:
-// with the full Run wiring (runner → node demand flow, node, telemetry
-// recorder, MAGUS governor task, no observer — the nil-Obs path), a
-// steady-state engine tick heap-allocates nothing. The trace recorder
-// is reserved for the whole horizon, as Run does, so sampling appends
-// into preallocated storage.
+// TestSteadyStateTickZeroAlloc pins the tentpole contract end to end on
+// the engine NewSteppable builds (runner → node demand flow, node,
+// telemetry recorder reserved for the nominal duration, MAGUS governor
+// task): a steady-state engine tick heap-allocates nothing, both with
+// no observation sink armed and with the flight ring armed, which is
+// what every magusd serve session runs with.
 func TestSteadyStateTickZeroAlloc(t *testing.T) {
-	cfg := node.IntelA100()
 	prog, ok := workload.ByName("unet")
 	if !ok {
 		t.Fatal("unknown workload unet")
 	}
-	eng := sim.NewEngine(0)
-	n := node.New(cfg)
-	runner := workload.NewRunner(prog, cfg.SystemBWGBs(), 1)
-	runner.SetAttained(n.AttainedGBs)
-
-	gov := core.New(core.DefaultConfig())
-	env, _, envErr := buildEnv(n, nil, nil)
-	if envErr != nil {
-		t.Fatal(envErr)
-	}
-	if err := gov.Attach(env); err != nil {
-		t.Fatal(err)
-	}
-
-	eng.AddComponent(sim.ComponentFunc(func(now, dt time.Duration) {
-		runner.Step(now, dt)
-		n.SetDemand(runner.Demand())
-	}))
-	eng.AddComponent(n)
-
-	interval := 100 * time.Millisecond
-	rec := NewNodeRecorder(n, interval)
-	rec.Reserve(int(prog.NominalDuration()/interval) + 2)
-	eng.AddComponent(rec)
-
-	eng.AddTask(&sim.Task{Name: gov.Name(), Interval: gov.Interval(), Fn: gov.Invoke}, 0)
-
-	// Warm past MDFS warmup, the first trace samples, and the phase
-	// transitions' first traversal so every lazily-grown buffer has
-	// reached its working size.
-	eng.RunFor(20 * time.Second)
-
-	step := eng.Step()
-	if allocs := testing.AllocsPerRun(2000, func() { eng.RunFor(step) }); allocs != 0 {
-		t.Fatalf("steady-state engine tick allocates %v times per tick, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		ring *flight.Ring
+	}{
+		{"no-sinks", nil},
+		{"flight", flight.NewRing(flight.DefaultCap)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := NewSteppable(node.IntelA100(), prog, core.New(core.DefaultConfig()), Options{
+				Seed: 1, TraceInterval: 100 * time.Millisecond, Flight: tc.ring,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (st.sinks == nil) != (tc.ring == nil) {
+				t.Fatalf("probe present = %v with flight armed = %v", st.sinks != nil, tc.ring != nil)
+			}
+			// Warm past MDFS warmup, the first trace samples, and the
+			// phase transitions' first traversal so every lazily-grown
+			// buffer has reached its working size.
+			st.eng.RunFor(20 * time.Second)
+			step := st.eng.Step()
+			if allocs := testing.AllocsPerRun(2000, func() { st.eng.RunFor(step) }); allocs != 0 {
+				t.Fatalf("steady-state engine tick allocates %v times per tick, want 0", allocs)
+			}
+			if st.src.Done() {
+				t.Fatal("workload finished inside the measured window")
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/spear-repro/magus/internal/core"
 	"github.com/spear-repro/magus/internal/faults"
-	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/obs"
 	"github.com/spear-repro/magus/internal/resilient"
@@ -17,74 +16,11 @@ import (
 const DefaultObsInterval = 100 * time.Millisecond
 
 // govCounters is the architecture-neutral snapshot of a governor's
-// cumulative counters, polled on the sampling interval.
+// cumulative counters, polled on the sampling interval: the MDFS
+// counters plus the two only UPS keeps.
 type govCounters struct {
-	invocations, tuneEvents, overrides uint64
-	msrReads, msrWrites, phaseResets   uint64
-	warmupCycles, missed               uint64
-	retries, timeouts, wild, stale     uint64
-	degradedCycles, lostCycles         uint64
-	recoveries, watchdog               uint64
-	health                             resilient.Health
-}
-
-// pollerFor maps a governor to a counter snapshot function; nil when
-// the governor exposes no counters (static pins, vendor default).
-func pollerFor(gov governor.Governor) func() govCounters {
-	if pc, ok := gov.(*governor.PowerCapped); ok {
-		gov = pc.Inner()
-	}
-	switch g := gov.(type) {
-	case interface{ Stats() core.Stats }: // MAGUS and PerSocket
-		hr, _ := gov.(healthReporter)
-		return func() govCounters {
-			s := g.Stats()
-			c := govCounters{
-				invocations:    s.Invocations,
-				tuneEvents:     s.TuneEvents,
-				overrides:      s.Overrides,
-				msrWrites:      s.MSRWrites,
-				warmupCycles:   s.WarmupCycles,
-				missed:         s.MissedSamples,
-				retries:        s.SensorRetries,
-				timeouts:       s.SensorTimeouts,
-				wild:           s.WildSamples,
-				stale:          s.StaleSamples,
-				degradedCycles: s.DegradedCycles,
-				lostCycles:     s.LostCycles,
-				recoveries:     s.Recoveries,
-				watchdog:       s.WatchdogOverruns,
-			}
-			if hr != nil {
-				c.health = hr.SensorHealth()
-			}
-			return c
-		}
-	case *governor.UPS:
-		return func() govCounters {
-			inv, reads, writes, resets := g.Stats()
-			r := g.Resilience()
-			return govCounters{
-				invocations: inv, msrReads: reads, msrWrites: writes, phaseResets: resets,
-				missed: r.Misses, retries: r.Retries, timeouts: r.Timeouts,
-				wild: r.WildDrops, stale: r.StaleDrops,
-				degradedCycles: r.DegradedCycles, lostCycles: r.LostCycles,
-				recoveries: r.Recoveries, health: g.SensorHealth(),
-			}
-		}
-	case *governor.DUF:
-		return func() govCounters {
-			r := g.Resilience()
-			return govCounters{
-				invocations: g.Invocations(),
-				missed:      r.Misses, retries: r.Retries, timeouts: r.Timeouts,
-				wild: r.WildDrops, stale: r.StaleDrops,
-				degradedCycles: r.DegradedCycles, lostCycles: r.LostCycles,
-				recoveries: r.Recoveries, health: g.SensorHealth(),
-			}
-		}
-	}
-	return nil
+	core.Stats
+	msrReads, phaseResets uint64
 }
 
 // counterDelta feeds the difference between successive snapshots of a
@@ -104,15 +40,14 @@ func (d *counterDelta) update(c govCounters) {
 }
 
 // runObserver samples node and governor state into the registry on a
-// fixed interval and emits fault/health events. It implements
-// sim.Component; everything it does is read-only with respect to the
-// simulation, so an observed run stays bit-identical to an unobserved
-// one.
+// fixed interval and emits fault/health events. The probe steps it;
+// everything it does is read-only with respect to the simulation, so
+// an observed run stays bit-identical to an unobserved one.
 type runObserver struct {
 	o        *obs.Observer
 	n        *node.Node
-	fset     *faults.Set
-	poll     func() govCounters
+	poll     func() govCounters // nil when the governor exposes no counters
+	health   bool               // the governor reports sensor health
 	interval time.Duration
 	next     time.Duration
 
@@ -135,22 +70,33 @@ type runObserver struct {
 	lastHealth resilient.Health
 	deltas     []*counterDelta
 
-	faultCtr  map[string]*obs.Counter
+	faultCtr  map[string]*obs.Counter // nil when no fault plan is armed
 	lastTally faults.Tally
 
-	// do is the decision hook installed alongside this sampler (nil
-	// when the governor exposes no decision stream); retained so the
-	// checkpoint layer can capture its edge-trigger state.
+	// do receives the probe's decisions (nil when the governor exposes
+	// no decision stream); the checkpoint layer captures its
+	// edge-trigger state.
 	do *decisionObserver
 }
 
-// newRunObserver registers the run's metric families on o's registry
-// and returns the sampling component.
-func newRunObserver(o *obs.Observer, n *node.Node, fset *faults.Set, gov governor.Governor, interval time.Duration) *runObserver {
+// installObservability wires the observer into a run: it registers
+// the run's metric families, builds the sampler and — when the governor
+// exposes a decision stream — its decision observer, and emits the
+// run_start event.
+func installObservability(opt Options, n *node.Node, gs GovernorSurfaces, govName, wname string, resuming bool) *runObserver {
+	o, cfg := opt.Obs, n.Config()
+	interval := opt.ObsInterval
+	if interval <= 0 {
+		interval = DefaultObsInterval
+	}
 	reg := o.Registry()
-	cfg := n.Config()
+	reg.Counter("magus_runs_total", "Observed harness runs started.").Inc()
+	reg.GaugeVec("magus_run_info", "Run identity (constant 1, labels carry the identity).",
+		"system", "workload", "governor").
+		With(cfg.Name, wname, govName).Set(1)
+
 	ro := &runObserver{
-		o: o, n: n, fset: fset, poll: pollerFor(gov), interval: interval,
+		o: o, n: n, poll: gs.poll, health: gs.Health != nil, interval: interval,
 
 		steps:   reg.Counter("magus_sim_steps_total", "Engine steps observed by the run."),
 		simTime: reg.Gauge("magus_sim_time_seconds", "Virtual time of the run in seconds."),
@@ -161,17 +107,12 @@ func newRunObserver(o *obs.Observer, n *node.Node, fset *faults.Set, gov governo
 		nodeW: reg.Gauge("magus_node_power_watts", "Total node power (CPU package + DRAM + GPU boards)."),
 		cpuW:  reg.Gauge("magus_cpu_power_watts", "CPU power (package + DRAM, all sockets)."),
 
-		energyPk: reg.GaugeVec("magus_energy_joules",
-			"Cumulative energy to solution by domain.", "domain").With("pkg"),
-		energyDr: reg.GaugeVec("magus_energy_joules",
-			"Cumulative energy to solution by domain.", "domain").With("dram"),
-		energyGp: reg.GaugeVec("magus_energy_joules",
-			"Cumulative energy to solution by domain.", "domain").With("gpu"),
-
 		healthG: reg.Gauge("magus_sensor_health",
 			"Governor sensing-path health (0 healthy, 1 degraded, 2 lost)."),
 	}
 
+	energyVec := reg.GaugeVec("magus_energy_joules", "Cumulative energy to solution by domain.", "domain")
+	ro.energyPk, ro.energyDr, ro.energyGp = energyVec.With("pkg"), energyVec.With("dram"), energyVec.With("gpu")
 	uncoreVec := reg.GaugeVec("magus_uncore_frequency_ghz", "Effective uncore frequency per socket in GHz.", "socket")
 	pkgVec := reg.GaugeVec("magus_package_power_watts", "Package power per socket in watts.", "socket")
 	dramVec := reg.GaugeVec("magus_dram_power_watts", "DRAM power per socket in watts.", "socket")
@@ -196,40 +137,40 @@ func newRunObserver(o *obs.Observer, n *node.Node, fset *faults.Set, gov governo
 			ro.deltas = append(ro.deltas, &counterDelta{dst: reg.Counter(name, help), read: read})
 		}
 		add("magus_governor_invocations_total", "Governor decision cycles executed.",
-			func(c govCounters) uint64 { return c.invocations })
+			func(c govCounters) uint64 { return c.Invocations })
 		add("magus_tune_events_total", "Potential uncore tuning events logged (Algorithm 1 trend edges).",
-			func(c govCounters) uint64 { return c.tuneEvents })
+			func(c govCounters) uint64 { return c.TuneEvents })
 		add("magus_highfreq_overrides_total", "Decisions suppressed by the high-frequency detector (Algorithm 2).",
-			func(c govCounters) uint64 { return c.overrides })
+			func(c govCounters) uint64 { return c.Overrides })
 		add("magus_msr_reads_total", "MSR reads performed by the governor's counter sweeps.",
 			func(c govCounters) uint64 { return c.msrReads })
 		add("magus_msr_writes_total", "Uncore-limit MSR writes performed by the governor.",
-			func(c govCounters) uint64 { return c.msrWrites })
+			func(c govCounters) uint64 { return c.MSRWrites })
 		add("magus_phase_resets_total", "Phase-transition resets (UPS DRAM-power detector).",
 			func(c govCounters) uint64 { return c.phaseResets })
 		add("magus_warmup_cycles_total", "Warm-up monitoring cycles spent collecting history.",
-			func(c govCounters) uint64 { return c.warmupCycles })
+			func(c govCounters) uint64 { return c.WarmupCycles })
 		add("magus_missed_samples_total", "Decision cycles that produced no usable sensor sample.",
-			func(c govCounters) uint64 { return c.missed })
+			func(c govCounters) uint64 { return c.MissedSamples })
 		add("magus_sensor_retries_total", "Extra sensor read attempts after transient errors.",
-			func(c govCounters) uint64 { return c.retries })
+			func(c govCounters) uint64 { return c.SensorRetries })
 		add("magus_sensor_timeouts_total", "Sensor accesses abandoned after exceeding the read timeout.",
-			func(c govCounters) uint64 { return c.timeouts })
+			func(c govCounters) uint64 { return c.SensorTimeouts })
 		add("magus_wild_samples_total", "Sensor readings rejected as corrupted (NaN, negative, implausible).",
-			func(c govCounters) uint64 { return c.wild })
+			func(c govCounters) uint64 { return c.WildSamples })
 		add("magus_stale_samples_total", "Sensor readings rejected as frozen.",
-			func(c govCounters) uint64 { return c.stale })
+			func(c govCounters) uint64 { return c.StaleSamples })
 		add("magus_degraded_cycles_total", "Missed cycles spent in the degraded sensor state.",
-			func(c govCounters) uint64 { return c.degradedCycles })
+			func(c govCounters) uint64 { return c.DegradedCycles })
 		add("magus_lost_cycles_total", "Missed cycles spent in the lost sensor state.",
-			func(c govCounters) uint64 { return c.lostCycles })
+			func(c govCounters) uint64 { return c.LostCycles })
 		add("magus_sensor_recoveries_total", "Sensor transitions back to healthy after degradation or loss.",
-			func(c govCounters) uint64 { return c.recoveries })
+			func(c govCounters) uint64 { return c.Recoveries })
 		add("magus_watchdog_overruns_total", "Decision cycles whose sensor latency overran the sleep interval.",
-			func(c govCounters) uint64 { return c.watchdog })
+			func(c govCounters) uint64 { return c.WatchdogOverruns })
 	}
 
-	if fset != nil {
+	if opt.Faults.Armed() {
 		vec := reg.CounterVec("magus_faults_injected_total",
 			"Telemetry faults fired by the armed plan, by class.", "class")
 		ro.faultCtr = map[string]*obs.Counter{
@@ -237,21 +178,35 @@ func newRunObserver(o *obs.Observer, n *node.Node, fset *faults.Set, gov governo
 			"stale": vec.With("stale"), "wild": vec.With("wild"), "loss": vec.With("loss"),
 		}
 	}
+	if gs.OnDecision != nil {
+		ro.do = newDecisionObserver(o)
+	}
+
+	if !resuming {
+		// A resumed run continues the original's event stream; its
+		// run_start was already emitted (registry values are overwritten
+		// wholesale by the restore, so the counters above need no guard).
+		o.Events().Event(0, "run_start").
+			S("system", cfg.Name).S("workload", wname).S("governor", govName).
+			F("seed", float64(opt.Seed)).
+			B("faults", opt.Faults.Armed()).End()
+	}
 	return ro
 }
 
-// Step implements sim.Component.
-func (ro *runObserver) Step(now, dt time.Duration) {
+// due counts one engine step and reports whether a sample is due.
+func (ro *runObserver) due(now time.Duration) bool {
 	ro.steps.Inc()
 	if now < ro.next {
-		return
+		return false
 	}
 	ro.next = now + ro.interval
-	ro.sample(now)
+	return true
 }
 
-// sample publishes one snapshot of node and governor state.
-func (ro *runObserver) sample(now time.Duration) {
+// sample publishes one snapshot of node and governor state, given the
+// governor's sensor health and the armed plan's fault tally.
+func (ro *runObserver) sample(now time.Duration, h resilient.Health, t faults.Tally) {
 	n := ro.n
 	ro.simTime.Set(now.Seconds())
 	thr := n.AttainedGBs()
@@ -278,17 +233,18 @@ func (ro *runObserver) sample(now time.Duration) {
 		for _, d := range ro.deltas {
 			d.update(c)
 		}
-		ro.healthG.Set(float64(c.health))
-		ro.o.SetHealth(obs.Health(c.health))
-		if c.health != ro.lastHealth {
+	}
+	if ro.health {
+		ro.healthG.Set(float64(h))
+		ro.o.SetHealth(obs.Health(h))
+		if h != ro.lastHealth {
 			ro.o.Events().Event(now, "health").
-				S("from", ro.lastHealth.String()).S("to", c.health.String()).End()
-			ro.lastHealth = c.health
+				S("from", ro.lastHealth.String()).S("to", h.String()).End()
+			ro.lastHealth = h
 		}
 	}
 
-	if ro.fset != nil {
-		t := ro.fset.Tally()
+	if ro.faultCtr != nil {
 		if t != ro.lastTally {
 			ro.faultCtr["error"].Add(float64(t.Errors - ro.lastTally.Errors))
 			ro.faultCtr["stall"].Add(float64(t.Stalls - ro.lastTally.Stalls))
@@ -305,8 +261,8 @@ func (ro *runObserver) sample(now time.Duration) {
 
 // finish takes the final sample (the run may end between sampling
 // ticks) and emits the run_end event.
-func (ro *runObserver) finish(now time.Duration, res Result) {
-	ro.sample(now)
+func (ro *runObserver) finish(now time.Duration, res Result, h resilient.Health, t faults.Tally) {
+	ro.sample(now, h, t)
 	ro.o.Events().Event(now, "run_end").
 		F("runtime_s", res.RuntimeS).
 		F("pkg_j", res.PkgEnergyJ).F("dram_j", res.DramEnergyJ).F("gpu_j", res.GPUEnergyJ).
@@ -378,7 +334,7 @@ func newDecisionObserver(o *obs.Observer) *decisionObserver {
 	}
 }
 
-// observe is the OnDecision hook.
+// observe records one decision.
 func (do *decisionObserver) observe(d core.Decision) {
 	switch {
 	case d.Missed:
@@ -445,40 +401,4 @@ func (do *decisionObserver) observe(d core.Decision) {
 		ev = ev.B("missed", true)
 	}
 	ev.S("health", d.SensorHealth.String()).End()
-}
-
-// installObservability wires the observer into a run: the sampling
-// component, the decision hook (when the governor exposes one) and the
-// run_start event. It returns the sampler so Run can finish it.
-func installObservability(o *obs.Observer, n *node.Node, fset *faults.Set, gov governor.Governor, interval time.Duration, opt Options, cfgName, progName string, resuming bool) *runObserver {
-	if interval <= 0 {
-		interval = DefaultObsInterval
-	}
-	reg := o.Registry()
-	reg.Counter("magus_runs_total", "Observed harness runs started.").Inc()
-	reg.GaugeVec("magus_run_info", "Run identity (constant 1, labels carry the identity).",
-		"system", "workload", "governor").
-		With(cfgName, progName, gov.Name()).Set(1)
-
-	ro := newRunObserver(o, n, fset, gov, interval)
-
-	hookTarget := gov
-	if pc, ok := gov.(*governor.PowerCapped); ok {
-		hookTarget = pc.Inner()
-	}
-	if src, ok := hookTarget.(interface{ OnDecision(func(core.Decision)) }); ok {
-		ro.do = newDecisionObserver(o)
-		src.OnDecision(ro.do.observe)
-	}
-
-	if !resuming {
-		// A resumed run continues the original's event stream; its
-		// run_start was already emitted (registry values are overwritten
-		// wholesale by the restore, so the counters above need no guard).
-		o.Events().Event(0, "run_start").
-			S("system", cfgName).S("workload", progName).S("governor", gov.Name()).
-			F("seed", float64(opt.Seed)).
-			B("faults", fset != nil).End()
-	}
-	return ro
 }

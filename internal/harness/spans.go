@@ -9,13 +9,14 @@ import (
 	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/obs"
 	"github.com/spear-repro/magus/internal/spans"
+	"github.com/spear-repro/magus/internal/workload"
 )
 
 // Everything in this file is wired only when Options.Spans is set. A
-// spans-disabled run adds no component, wraps no device and no task
-// function, so the steady-state tick loop stays allocation-free and
-// byte-identical to the seed (pinned by TestSteadyStateTickZeroAlloc
-// and the PR 4 identity goldens).
+// spans-disabled run gives the probe no spans sink and wraps no device
+// and no task function, so the steady-state tick loop stays
+// allocation-free and byte-identical (pinned by
+// TestSteadyStateTickZeroAlloc and the identity goldens).
 
 // spanMSRDevice intercepts successful uncore-limit writes and records
 // them as MSR-write spans; every other access passes straight through.
@@ -42,7 +43,7 @@ func (d *spanMSRDevice) Write(cpu int, reg uint32, val uint64) error {
 // spanSampler is the per-step ledger integrator: it reads each
 // socket's uncore state the node just computed and attributes the
 // step's uncore energy, plus the workload-phase bucket under
-// sample-and-hold. It must be added to the engine after the node.
+// sample-and-hold. The probe steps it after the node.
 type spanSampler struct {
 	tr     *spans.Tracer
 	n      *node.Node
@@ -57,8 +58,8 @@ type spanSampler struct {
 	spanCounts                                     []*obs.Gauge
 }
 
-// Step implements sim.Component.
-func (ss *spanSampler) Step(now, dt time.Duration) {
+// step integrates one engine step into the ledger.
+func (ss *spanSampler) step(dt time.Duration) {
 	if name := ss.src.PhaseName(); name != ss.lastPhase {
 		ss.tr.SetPhase(name)
 		ss.lastPhase = name
@@ -81,12 +82,13 @@ func (ss *spanSampler) Step(now, dt time.Duration) {
 	}
 }
 
-// installSpans wires the tracer into a run: power model, arena
-// reservation, run span, MSR-write interception (caller swaps env.Dev),
-// the decision hook, the ledger sampler and — when an observer is also
-// attached — the magus_waste_* / magus_span_* families.
-func installSpans(tr *spans.Tracer, n *node.Node, src demandSource, wname string, gov governor.Governor, o *obs.Observer, opt Options, horizon time.Duration) *spanSampler {
-	cfg := n.Config()
+// installSpans wires Options.Spans into a run: power model, arena
+// reservation, run span, the tenant split of a co-located run, the
+// ledger sampler and — when an observer is also attached — the
+// magus_waste_* / magus_span_* families. The caller swaps env.Dev for
+// MSR-write interception.
+func installSpans(opt Options, n *node.Node, src demandSource, mux *workload.Mux, wname string, gov governor.Governor, horizon time.Duration) *spanSampler {
+	tr, cfg := opt.Spans, n.Config()
 	tr.SetPowerModel(spans.PowerModel{
 		BaseWatts:          cfg.Uncore.BaseWatts,
 		DynMaxWatts:        cfg.Uncore.DynMaxWatts,
@@ -104,33 +106,17 @@ func installSpans(tr *spans.Tracer, n *node.Node, src demandSource, wname string
 		System: cfg.Name, Workload: wname,
 		Governor: gov.Name(), Seed: opt.Seed,
 	})
-
-	hookTarget := gov
-	if pc, ok := gov.(*governor.PowerCapped); ok {
-		hookTarget = pc.Inner()
-	}
-	if src, ok := hookTarget.(interface{ OnDecision(func(core.Decision)) }); ok {
-		src.OnDecision(func(d core.Decision) {
-			tr.Decision(d.At, spans.DecisionAttrs{
-				ThroughputGBs: d.ThroughputGBs,
-				DerivGBs:      d.DerivGBs,
-				RingFill:      d.RingFill,
-				Trend:         int(d.Trend),
-				HighFreq:      d.HighFreq,
-				Warmup:        d.Warmup,
-				Missed:        d.Missed,
-				Acted:         d.Acted,
-				PrevGHz:       d.PrevGHz,
-				TargetGHz:     d.TargetGHz,
-				Reason:        d.Reason,
-				Health:        d.SensorHealth.String(),
-			})
-		})
+	if mux != nil {
+		// After SetPowerModel, which resets the ledger and so would drop
+		// the split. The weight slice is live: the mux rewrites it each
+		// step, so the ledger splits by the current memory-traffic
+		// shares.
+		tr.SetTenantSplit(mux.Tenants(), mux.MemWeights())
 	}
 
 	ss := &spanSampler{tr: tr, n: n, src: src, maxGHz: cfg.UncoreMaxGHz}
-	if o != nil {
-		reg := o.Registry()
+	if opt.Obs != nil {
+		reg := opt.Obs.Registry()
 		wasteVec := reg.GaugeVec("magus_waste_joules",
 			"Uncore energy attribution by the spans ledger (cumulative joules).", "component")
 		ss.wasteBase = wasteVec.With("baseline")
@@ -148,11 +134,20 @@ func installSpans(tr *spans.Tracer, n *node.Node, src demandSource, wname string
 	return ss
 }
 
-// tickFn wraps a governor's Invoke so every scheduled invocation opens
-// a tick span before the MDFS cycle runs inside it.
-func tickFn(tr *spans.Tracer, inner func(time.Duration) time.Duration) func(time.Duration) time.Duration {
-	return func(now time.Duration) time.Duration {
-		tr.BeginTick(now)
-		return inner(now)
-	}
+// decide records one decision span.
+func (ss *spanSampler) decide(d core.Decision) {
+	ss.tr.Decision(d.At, spans.DecisionAttrs{
+		ThroughputGBs: d.ThroughputGBs,
+		DerivGBs:      d.DerivGBs,
+		RingFill:      d.RingFill,
+		Trend:         int(d.Trend),
+		HighFreq:      d.HighFreq,
+		Warmup:        d.Warmup,
+		Missed:        d.Missed,
+		Acted:         d.Acted,
+		PrevGHz:       d.PrevGHz,
+		TargetGHz:     d.TargetGHz,
+		Reason:        d.Reason,
+		Health:        d.SensorHealth.String(),
+	})
 }

@@ -49,15 +49,13 @@ type Steppable struct {
 	opt    Options
 	fset   *faults.Set
 	rec    *telemetry.Recorder
-	ro     *runObserver
+	sinks  *probe // nil when no observation sink is armed
 
-	// env, mons and ss are retained for the checkpoint layer: the
-	// governor environment (RAPL reader, limit shadow), the concrete
-	// PCM monitors beneath the fault wrappers, and the span sampler's
-	// phase cursor.
+	// env and mons are retained for the checkpoint layer: the governor
+	// environment (RAPL reader, limit shadow) and the concrete PCM
+	// monitors beneath the fault wrappers.
 	env  *governor.Env
 	mons *envMonitors
-	ss   *spanSampler
 
 	horizon time.Duration
 	done    bool
@@ -152,12 +150,8 @@ func newSteppable(cfg node.Config, prog *workload.Program, gov governor.Governor
 		n.SetDemand(src.Demand())
 	}))
 	eng.AddComponent(n)
-	if meter != nil {
-		// The attribution sampler reads power the node just computed,
-		// so it is added after the node component.
-		eng.AddComponent(installAttrib(meter, n, mux.Tenants(), opt.Obs))
-	}
 
+	gs := LookupGovernor(gov)
 	var rec *telemetry.Recorder
 	if opt.TraceInterval > 0 {
 		rec = NewNodeRecorder(n, opt.TraceInterval)
@@ -167,54 +161,51 @@ func newSteppable(cfg node.Config, prog *workload.Program, gov governor.Governor
 		if fset != nil {
 			rec.Track("faults_injected", func() float64 { return float64(fset.Tally().Total()) })
 		}
-		if hr, ok := gov.(healthReporter); ok {
-			rec.Track("sensor_health", func() float64 { return float64(hr.SensorHealth()) })
+		if gs.Health != nil {
+			rec.Track("sensor_health", func() float64 { return float64(gs.Health()) })
 		}
 		eng.AddComponent(rec)
 	}
 
-	var ro *runObserver
-	if opt.Obs != nil {
-		ro = installObservability(opt.Obs, n, fset, gov, opt.ObsInterval, opt, cfg.Name, wname, resuming)
-		eng.AddComponent(ro)
-	}
-
-	if opt.Flight != nil {
-		eng.AddComponent(installFlight(opt.Flight, fset, gov))
-		opt.Flight.Record(0, flight.KindMark, "run_start", float64(opt.Seed), 0, 0)
-	}
-
+	// The probe reads state the node just computed, so it follows the
+	// node. Sinks are built in a fixed order (attrib, obs, flight,
+	// spans), which fixes the order of their metric families.
+	var sinks *probe
 	govFn := gov.Invoke
-	var ss *spanSampler
-	if opt.Spans != nil {
-		// The sampler reads state the node just computed, so it is
-		// added after the node component; the tick wrapper opens a
-		// tick span around every scheduled invocation.
-		ss = installSpans(opt.Spans, n, src, wname, gov, opt.Obs, opt, horizon)
-		eng.AddComponent(ss)
-		govFn = tickFn(opt.Spans, gov.Invoke)
-		if mux != nil {
-			// Installed after SetPowerModel (installSpans) because
-			// SetPowerModel resets the ledger, which would drop the
-			// split. The weight slice is live: the mux rewrites it each
-			// step, so the ledger splits by the current memory-traffic
-			// shares.
-			opt.Spans.SetTenantSplit(mux.Tenants(), mux.MemWeights())
+	if meter != nil || opt.Obs != nil || opt.Flight != nil || opt.Spans != nil {
+		sinks = &probe{health: gs.Health, fset: fset}
+		if meter != nil {
+			sinks.attrib = newAttribSampler(meter, n, mux.Tenants(), opt.Obs)
+		}
+		if opt.Obs != nil {
+			sinks.obs = installObservability(opt, n, gs, gov.Name(), wname, resuming)
+		}
+		if opt.Flight != nil {
+			sinks.flight = &flightObserver{ring: opt.Flight}
+			opt.Flight.Record(0, flight.KindMark, "run_start", float64(opt.Seed), 0, 0)
+		}
+		if opt.Spans != nil {
+			sinks.spans = installSpans(opt, n, src, mux, wname, gov, horizon)
+			// Every scheduled invocation runs inside a tick span.
+			govFn = func(now time.Duration) time.Duration {
+				opt.Spans.BeginTick(now)
+				return gov.Invoke(now)
+			}
+		}
+		eng.AddComponent(sinks)
+		if gs.OnDecision != nil && (sinks.obs != nil || sinks.flight != nil || sinks.spans != nil) {
+			gs.OnDecision(sinks.decide)
 		}
 	}
 
-	eng.AddTask(&sim.Task{
-		Name:     gov.Name(),
-		Interval: gov.Interval(),
-		Fn:       govFn,
-	}, 0)
+	eng.AddTask(&sim.Task{Name: gov.Name(), Interval: gov.Interval(), Fn: govFn}, 0)
 
 	return &Steppable{
 		eng: eng, n: n, runner: runner, mux: mux, src: src,
 		meter: meter, wname: wname, gov: gov,
 		cfg: cfg, prog: prog, opt: opt,
-		fset: fset, rec: rec, ro: ro,
-		env: env, mons: mons, ss: ss,
+		fset: fset, rec: rec, sinks: sinks,
+		env: env, mons: mons,
 		horizon: horizon,
 	}, nil
 }
@@ -315,8 +306,9 @@ func (s *Steppable) finish() Result {
 	if s.meter != nil {
 		res.Tenants = s.meter.Report()
 	}
-	if s.ro != nil {
-		s.ro.finish(s.eng.Clock().Now(), res)
+	if s.opt.Obs != nil {
+		h, t := s.sinks.read()
+		s.sinks.obs.finish(s.eng.Clock().Now(), res, h, t)
 	}
 	s.opt.Flight.Record(s.eng.Clock().Now().Seconds(), flight.KindMark, "run_end",
 		res.RuntimeS, res.TotalEnergyJ(), 0)

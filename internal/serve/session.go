@@ -154,11 +154,6 @@ func buildGovernor(name string, cfg node.Config) (governor.Governor, error) {
 	return nil, fmt.Errorf("%w: unknown governor %q", ErrBadSpec, name)
 }
 
-// sensorHealthReporter is the optional health surface governors expose.
-type sensorHealthReporter interface {
-	SensorHealth() resilient.Health
-}
-
 // sessionState is the session lifecycle (orthogonal to sensor health).
 type sessionState int32
 
@@ -195,8 +190,7 @@ type Session struct {
 	mu      sync.Mutex
 	st      *harness.Steppable
 	gov     governor.Governor
-	stats   func() core.Stats // nil unless MAGUS/PerSocket
-	sensor  func() resilient.Health
+	surf    harness.GovernorSurfaces // counters, health, decisions
 	tracer  *spans.Tracer
 	pending []core.Decision // decisions since the last step response
 	dropped uint64          // pending overflow
@@ -313,20 +307,12 @@ func newSession(id string, spec Spec, now time.Time, svc Config) (*Session, erro
 		}
 	}
 
-	// Hooks observe the unwrapped governor (a power cap is transparent).
-	hookTarget := gov
-	if pc, okPC := gov.(*governor.PowerCapped); okPC {
-		hookTarget = pc.Inner()
-	}
-	if sg, okStats := hookTarget.(interface{ Stats() core.Stats }); okStats {
-		s.stats = sg.Stats
-	}
-	if hr, okHealth := hookTarget.(sensorHealthReporter); okHealth {
-		s.sensor = hr.SensorHealth
-	}
-	if src, okDec := hookTarget.(interface{ OnDecision(func(core.Decision)) }); okDec {
+	// Counters, health and decisions come from the harness's governor
+	// lookup, which sees through a power cap.
+	s.surf = harness.LookupGovernor(gov)
+	if s.surf.OnDecision != nil {
 		// The hook fires inside Advance, which only runs under s.mu.
-		src.OnDecision(func(d core.Decision) {
+		s.surf.OnDecision(func(d core.Decision) {
 			if len(s.pending) >= maxPendingDecisions {
 				copy(s.pending, s.pending[1:])
 				s.pending = s.pending[:maxPendingDecisions-1]
@@ -353,8 +339,8 @@ func (s *Session) healthLocked() resilient.Health {
 		return resilient.Lost
 	}
 	h := resilient.Healthy
-	if s.sensor != nil {
-		h = s.sensor()
+	if s.surf.Health != nil {
+		h = s.surf.Health()
 	}
 	if s.wdDegraded {
 		h = resilient.Worst(h, resilient.Degraded)
@@ -533,8 +519,8 @@ func (s *Session) statusLocked(now time.Time) Status {
 	if s.failErr != nil {
 		st.Error = s.failErr.Error()
 	}
-	if s.stats != nil {
-		c := s.stats()
+	if s.surf.Stats != nil {
+		c := s.surf.Stats()
 		st.Stats = &StatsJSON{
 			Invocations:       c.Invocations,
 			TuneEvents:        c.TuneEvents,

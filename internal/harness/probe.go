@@ -9,12 +9,10 @@ import (
 	"github.com/spear-repro/magus/internal/resilient"
 )
 
-// A run has four optional observation sinks: the per-tenant attribution
-// meter (Options.Tenants), the spans ledger (Options.Spans), the
-// metrics/event observer (Options.Obs) and the flight ring
-// (Options.Flight). They share one governor lookup, one decision hook
-// and one engine component, the probe. With no sink armed none of the
-// three exists, so the disabled tick loop is the bare simulation.
+// A run's four optional observation sinks (Options.Tenants, Spans, Obs
+// and Flight) share one governor lookup, one decision hook and one
+// engine component, the probe; with no sink armed there is neither
+// hook nor probe.
 
 // GovernorSurfaces is what observers read from a governor. A power cap
 // is transparent: every surface belongs to the policy beneath any

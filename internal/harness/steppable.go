@@ -168,8 +168,7 @@ func newSteppable(cfg node.Config, prog *workload.Program, gov governor.Governor
 	}
 
 	// The probe reads state the node just computed, so it follows the
-	// node. Sinks are built in a fixed order (attrib, obs, flight,
-	// spans), which fixes the order of their metric families.
+	// node.
 	var sinks *probe
 	govFn := gov.Invoke
 	if meter != nil || opt.Obs != nil || opt.Flight != nil || opt.Spans != nil {

@@ -110,7 +110,8 @@ func (p *probe) Step(now, dt time.Duration) {
 
 // read returns the sensor health and the fault tally; each is its zero
 // value when the governor reports no health or no plan is armed.
-func (p *probe) read() (h resilient.Health, t faults.Tally) {
+func (p *probe) read() (resilient.Health, faults.Tally) {
+	var h resilient.Health
 	if p.health != nil {
 		h = p.health()
 	}

@@ -70,7 +70,6 @@ func TestPowerCapTransparentToSinks(t *testing.T) {
 		}
 		for _, r := range ring.Snapshot() {
 			if r.Kind == flight.KindHealth {
-				r.Seq = 0 // the capped run's ring numbering may differ
 				health = append(health, r)
 			}
 		}

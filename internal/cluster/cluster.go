@@ -9,13 +9,16 @@
 // and aggregate power traces plus budget analytics (peak power, time
 // over budget, energy, makespan).
 //
-// Execution is sharded: members are partitioned into contiguous blocks
-// run concurrently on the internal/parallel pool, each block stepping
-// its nodes in one cache-friendly pass over struct-of-arrays state (see
-// fleet.go and docs/FLEET.md). Because members are independent — each
-// owns its node, runner and governor, coupled only through the shared
-// fixed-step clock — the sharded run is byte-identical to the retained
-// single-engine reference path (single.go) for any shard count.
+// Every member is a harness run (harness.NewSteppable): the same node,
+// workload runner, fault wrappers, environment and governor wiring a
+// single harness.Run performs. Execution is sharded: members are
+// partitioned into contiguous blocks run concurrently on the
+// internal/parallel pool, each block ticking its members' runs in
+// lockstep and sampling them into one arena (see fleet.go and
+// docs/FLEET.md). Because members are independent — each owns its run,
+// coupled only through the shared fixed-step clock — the sharded run is
+// byte-identical for any shard count to the single-engine reference in
+// single_test.go, which wires members by hand.
 package cluster
 
 import (
@@ -23,6 +26,7 @@ import (
 	"time"
 
 	"github.com/spear-repro/magus/internal/faults"
+	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/harness"
 	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/obs"
@@ -43,7 +47,8 @@ type NodeSpec struct {
 	Name     string
 	Config   node.Config
 	Workload *workload.Program
-	// Factory builds the member's governor (nil = vendor default).
+	// Factory builds the member's governor (nil = unmanaged: no
+	// governor daemon, reported as "default").
 	Factory harness.GovernorFactory
 	Seed    int64
 	// Faults arms a deterministic fault schedule against this member's
@@ -134,19 +139,11 @@ func (r Result) TimeOverBudget(budgetW float64) float64 {
 
 // member is one node's live state during a run.
 type member struct {
-	spec   NodeSpec
-	node   *node.Node
-	runner *workload.Runner
+	spec NodeSpec
+	run  *harness.Steppable
 	// govName is the attached governor's display name ("default" when
-	// the member runs under the vendor default, i.e. no factory).
+	// the member runs unmanaged, i.e. no factory).
 	govName string
-	// invoke/govInterval/govNext mirror a sim.Task for the member's
-	// governor (invoke nil = no governor daemon). The shard loop fires
-	// them with exactly the engine's task semantics.
-	invoke      func(now time.Duration) time.Duration
-	govInterval time.Duration
-	govNext     time.Duration
-	fset        *faults.Set
 }
 
 // normalize validates and canonicalises a spec list: names are
@@ -193,33 +190,31 @@ func normalize(specs []NodeSpec, sampleEvery time.Duration) (out []NodeSpec, eve
 	return out, every, horizon, nil
 }
 
-// buildMember wires one normalized spec: node, workload runner, and —
-// when a factory is set — a fresh governor attached over an
-// environment whose telemetry devices carry the member's fault
-// wrappers. now is the virtual clock the fault injectors read.
-func buildMember(spec NodeSpec, now func() time.Duration) (*member, error) {
-	n := node.New(spec.Config)
-	runner := workload.NewRunner(spec.Workload, spec.Config.SystemBWGBs(), spec.Seed)
-	runner.SetAttained(n.AttainedGBs)
-	m := &member{spec: spec, node: n, runner: runner, govName: "default"}
-	if spec.Faults.Armed() {
-		m.fset = faults.NewSet(spec.Faults, now)
-	}
+// buildMember wires one normalized spec as a harness run. A nil
+// factory runs the member unmanaged.
+func buildMember(spec NodeSpec) (*member, error) {
+	var gov governor.Governor = unmanaged{}
 	if spec.Factory != nil {
-		gov := spec.Factory()
-		env, err := harness.BuildFaultyEnv(n, m.fset)
-		if err != nil {
-			return nil, err
-		}
-		if err := gov.Attach(env); err != nil {
-			return nil, fmt.Errorf("cluster: %s: %w", spec.Name, err)
-		}
-		m.govName = gov.Name()
-		m.invoke = gov.Invoke
-		m.govInterval = gov.Interval()
+		gov = spec.Factory()
 	}
-	return m, nil
+	run, err := harness.NewSteppable(spec.Config, spec.Workload, gov,
+		harness.Options{Seed: spec.Seed, Faults: spec.Faults})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s: %w", spec.Name, err)
+	}
+	return &member{spec: spec, run: run, govName: gov.Name()}, nil
 }
+
+// unmanaged is the policy of a member without a factory: no governor
+// daemon at all. Unlike governor.Default, whose Attach writes the
+// uncore limit (through the member's fault wrappers, where an injected
+// MSR error would fail the member), it never touches the hardware.
+type unmanaged struct{}
+
+func (unmanaged) Name() string                       { return "default" }
+func (unmanaged) Attach(*governor.Env) error         { return nil }
+func (unmanaged) Interval() time.Duration            { return time.Hour }
+func (unmanaged) Invoke(time.Duration) time.Duration { return 0 }
 
 // Run executes the batch. All nodes share the virtual clock; each
 // application starts at t=0 (a batch launched together). sampleEvery

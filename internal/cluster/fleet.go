@@ -9,7 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/spear-repro/magus/internal/node"
+	"github.com/spear-repro/magus/internal/harness"
 	"github.com/spear-repro/magus/internal/obs"
 	"github.com/spear-repro/magus/internal/parallel"
 	"github.com/spear-repro/magus/internal/sim"
@@ -19,22 +19,22 @@ import (
 )
 
 // The sharded cluster engine. Members are partitioned into contiguous
-// blocks ("shards") run concurrently on the internal/parallel pool;
-// each shard owns a deterministic sub-engine over its block — the same
-// fixed-step tick the single engine would run, specialised to the
-// cluster's wiring — and steps its nodes through a node.Batch in one
-// pass per tick, sampling hot per-node scalars into a telemetry.Block
-// arena instead of one Recorder probe per member.
+// blocks ("shards") run concurrently on the internal/parallel pool.
+// Each member is a harness.Steppable with its own engine; a shard
+// drives its block in lockstep, ticking every member's run by exactly
+// one engine step per shard tick, and samples member power into a
+// telemetry.Block arena instead of one Recorder probe per member.
 //
 // Determinism contract: members are independent (each owns its node,
 // runner, governor environment and fault injectors; nothing crosses
 // members except the virtual clock), so any interleaving of per-member
-// step sequences is observationally identical to the single engine's
+// step sequences is observationally identical to one shared engine's
 // all-tasks-then-all-components order. Every cross-member float is
 // folded in canonical member order at reassembly — the aggregate trace,
 // the energy total, the observer's final gauges, the stuck-member error
-// — which makes RunFleet byte-identical to runReference for any shard
-// count. The identity tests in fleet_test.go pin this.
+// — which makes RunFleet byte-identical for any shard count to the
+// hand-wired single-engine reference in single_test.go. The identity
+// tests in fleet_test.go pin this.
 
 // TelemetryMode selects how much per-member trace a run retains.
 type TelemetryMode int
@@ -91,7 +91,6 @@ type Options struct {
 // shard is one contiguous member block and its sub-engine state.
 type shard struct {
 	members []*member
-	batch   *node.Batch
 	dt      time.Duration
 	dtSec   float64
 	clock   time.Duration
@@ -157,29 +156,17 @@ func newShard(specs []NodeSpec, every time.Duration, sampleCap int, opt Options)
 	if opt.Dist {
 		sh.sketches = newDistSketches()
 	}
-	now := func() time.Duration { return sh.clock }
-	nodes := make([]*node.Node, 0, len(specs))
 	for _, spec := range specs {
-		m, err := buildMember(spec, now)
+		m, err := buildMember(spec)
 		if err != nil {
 			sh.buildErr = err
 			return sh
 		}
 		sh.members = append(sh.members, m)
-		nodes = append(nodes, m.node)
 		if opt.Waste || opt.Dist {
-			cfg := spec.Config
-			sh.models = append(sh.models, spans.PowerModel{
-				BaseWatts:          cfg.Uncore.BaseWatts,
-				DynMaxWatts:        cfg.Uncore.DynMaxWatts,
-				TrafficWattsPerGBs: cfg.Uncore.TrafficWattsPerGBs,
-				PeakGBs:            cfg.BWPerSocketGBs,
-				FloorFrac:          cfg.BWFloorFrac,
-				RelMin:             cfg.UncoreMinGHz / cfg.UncoreMaxGHz,
-			})
+			sh.models = append(sh.models, harness.UncorePowerModel(spec.Config))
 		}
 	}
-	sh.batch = node.NewBatch(nodes)
 	sh.block = getBlock(len(specs), sampleCap)
 	if opt.Waste {
 		sh.attrs = make([]spans.EnergyAttr, len(specs))
@@ -191,27 +178,17 @@ func newShard(specs []NodeSpec, every time.Duration, sampleCap int, opt Options)
 	return sh
 }
 
-// tick advances the shard one engine step. Per member it mirrors the
-// single engine's ordering exactly — governor task (if due), workload
-// runner, demand hand-off — then the node block steps in one pass;
-// member independence makes the member-merged order observationally
-// identical to the engine's all-tasks-then-all-components sweep.
+// tick advances the shard one engine step: every member's run takes
+// exactly one step of its own engine (governor task if due, workload
+// runner, demand hand-off, node), then reports whether its workload
+// just finished. Finished members keep ticking; member independence
+// makes this member-by-member order observationally identical to one
+// shared engine's all-tasks-then-all-components sweep.
 func (sh *shard) tick() {
 	now, dt := sh.clock, sh.dt
-	for _, m := range sh.members {
-		if m.invoke != nil && now >= m.govNext {
-			delay := m.invoke(now)
-			if delay <= 0 {
-				delay = m.govInterval
-			}
-			m.govNext = now + delay
-		}
-		m.runner.Step(now, dt)
-		m.node.SetDemand(m.runner.Demand())
-	}
-	sh.batch.Step(now, dt)
 	for i, m := range sh.members {
-		if !sh.done[i] && m.runner.Done() {
+		m.run.Tick()
+		if !sh.done[i] && m.run.WorkloadDone() {
 			sh.done[i] = true
 			sh.nDone++
 			sh.doneAt[i] = now + dt
@@ -235,7 +212,7 @@ func (sh *shard) tick() {
 // integer sketch state, so enabling Dist never perturbs the ledger.
 func (sh *shard) integrate() {
 	for i, m := range sh.members {
-		n := m.node
+		n := m.run.Node()
 		cfg := &m.spec.Config
 		for s := 0; s < cfg.Sockets; s++ {
 			rel := n.UncoreFreqGHz(s) / cfg.UncoreMaxGHz
@@ -255,16 +232,19 @@ func (sh *shard) integrate() {
 	}
 }
 
-// sample records one grid point: snapshot the node block's SoA mirrors
-// and copy the hot scalars into the arena row-by-row.
+// sample records one grid point: each member's total power into the
+// arena and, for an observed run, its cumulative energy and completion.
 func (sh *shard) sample(now time.Duration) {
 	k := sh.block.Push(now.Seconds())
-	sh.batch.Snapshot()
-	for i, p := range sh.batch.PowerW {
-		sh.block.Set(i, k, p)
+	for i, m := range sh.members {
+		n := m.run.Node()
+		sh.block.Set(i, k, n.TotalPowerW())
+		if sh.observed {
+			pkg, drm, gpu := n.EnergyJ()
+			sh.lastEnergy[i] = pkg + drm + gpu
+		}
 	}
 	if sh.observed {
-		copy(sh.lastEnergy, sh.batch.EnergyJ)
 		copy(sh.lastDone, sh.done)
 	}
 	for sh.next <= now {
@@ -362,8 +342,8 @@ func RunFleet(specs []NodeSpec, opt Options) (Result, error) {
 	nShards := len(bounds) - 1
 	sampleCap := int(horizon/every) + 2
 
-	// Build: each shard constructs its own members concurrently (node,
-	// runner, governor wiring dominates setup at fleet scale).
+	// Build: each shard constructs its own members' runs concurrently
+	// (run wiring dominates setup at fleet scale).
 	shards := make([]*shard, nShards)
 	if err := parallel.ForEach(nil, nShards, 0, nil, func(_ context.Context, s int) error {
 		shards[s] = newShard(specs[bounds[s]:bounds[s+1]], every, sampleCap, opt)
@@ -489,7 +469,7 @@ func reassemble(shards []*shard, opt Options, fo *fleetObs, globalEnd time.Durat
 	idx := 0
 	for _, sh := range shards {
 		for j, m := range sh.members {
-			pkg, drm, gpu := m.node.EnergyJ()
+			pkg, drm, gpu := m.run.Node().EnergyJ()
 			res.EnergyJ += pkg + drm + gpu
 			if opt.TopK > 0 {
 				row := sh.block.Series(j)

@@ -7,18 +7,60 @@ import (
 	"strings"
 	"time"
 
+	"github.com/spear-repro/magus/internal/faults"
+	"github.com/spear-repro/magus/internal/harness"
+	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/obs"
 	"github.com/spear-repro/magus/internal/sim"
 	"github.com/spear-repro/magus/internal/telemetry"
+	"github.com/spear-repro/magus/internal/workload"
 )
 
-// This file retains the pre-sharding cluster implementation: every
-// member stepped inside one sim.Engine on one goroutine, with one
-// telemetry probe per member. It is the semantic reference the sharded
-// engine (fleet.go) is pinned against — the identity tests require
-// RunFleet output to be byte-identical to runReference for any shard
-// count — and the "before" side of BenchmarkFleet. It is not reachable
-// from the public API.
+// This file retains the pre-sharding cluster implementation as a test
+// oracle: every member stepped inside one sim.Engine on one goroutine,
+// with one telemetry probe per member, and every member wired by hand
+// rather than through harness.NewSteppable. The sharded engine
+// (fleet.go) is pinned against it — the identity tests require RunFleet
+// output to be byte-identical to runReference for any shard count — so
+// the harness wiring of fleet members is checked against an independent
+// one. It is also the "before" side of BenchmarkFleetStepsSingle.
+
+// refMember is one member wired the legacy way.
+type refMember struct {
+	spec    NodeSpec
+	node    *node.Node
+	runner  *workload.Runner
+	govName string
+}
+
+// buildRefMember wires one normalized spec by hand: node, workload
+// runner, and — only when a factory is set — a fault set on the engine
+// clock, an environment over the member's fault wrappers, an attached
+// governor and its daemon task. A nil factory leaves the member with
+// no governor at all.
+func buildRefMember(spec NodeSpec, eng *sim.Engine) (*refMember, error) {
+	n := node.New(spec.Config)
+	runner := workload.NewRunner(spec.Workload, spec.Config.SystemBWGBs(), spec.Seed)
+	runner.SetAttained(n.AttainedGBs)
+	m := &refMember{spec: spec, node: n, runner: runner, govName: "default"}
+	var fset *faults.Set
+	if spec.Faults.Armed() {
+		fset = faults.NewSet(spec.Faults, eng.Clock().Now)
+	}
+	if spec.Factory != nil {
+		gov := spec.Factory()
+		env, err := harness.BuildFaultyEnv(n, fset)
+		if err != nil {
+			return nil, err
+		}
+		if err := gov.Attach(env); err != nil {
+			return nil, fmt.Errorf("cluster: %s: %w", spec.Name, err)
+		}
+		m.govName = gov.Name()
+		eng.AddTask(&sim.Task{Name: spec.Name + "/" + gov.Name(), Interval: gov.Interval(), Fn: gov.Invoke}, 0)
+	}
+	return m, nil
+}
 
 // runReference executes the batch on a single engine. It mirrors
 // Run/RunObserved exactly as they behaved before sharding, plus the
@@ -30,30 +72,25 @@ func runReference(specs []NodeSpec, sampleEvery time.Duration, o *obs.Observer) 
 		return Result{}, err
 	}
 	eng := sim.NewEngine(0)
-	members := make([]*member, 0, len(specs))
+	members := make([]*refMember, 0, len(specs))
 
 	for _, spec := range specs {
-		m, err := buildMember(spec, eng.Clock().Now)
+		m, err := buildRefMember(spec, eng)
 		if err != nil {
 			return Result{}, err
 		}
 		members = append(members, m)
 
-		mm := m
 		eng.AddComponent(sim.ComponentFunc(func(now, dt time.Duration) {
-			mm.runner.Step(now, dt)
-			mm.node.SetDemand(mm.runner.Demand())
+			m.runner.Step(now, dt)
+			m.node.SetDemand(m.runner.Demand())
 		}))
 		eng.AddComponent(m.node)
-		if m.invoke != nil {
-			eng.AddTask(&sim.Task{Name: spec.Name + "/" + m.govName, Interval: m.govInterval, Fn: m.invoke}, 0)
-		}
 	}
 
 	rec := telemetry.NewRecorder(sampleEvery)
 	for _, m := range members {
-		mm := m
-		rec.Track(mm.spec.Name, mm.node.TotalPowerW)
+		rec.Track(m.spec.Name, m.node.TotalPowerW)
 	}
 	rec.Track("aggregate", func() float64 {
 		var p float64

@@ -159,44 +159,19 @@ func (t Trend) String() string {
 	}
 }
 
-// PredictTrend is Algorithm 1: the first derivative of the throughput
-// history, thresholded. The derivative is evaluated over spans from
-// one up to derivLen intervals and the *shortest significant span
-// wins*: the one-interval derivative reacts first to sharp jumps (so a
-// burst ending right after a burst starting is never masked by stale
-// history), while the longer spans keep a transition visible for
+// predictTrendRing is Algorithm 1: the first derivative of the
+// throughput history, thresholded. The derivative is evaluated over
+// spans from one up to derivLen intervals and the *shortest significant
+// span wins*: the one-interval derivative reacts first to sharp jumps
+// (so a burst ending right after a burst starting is never masked by
+// stale history), while the longer spans keep a transition visible for
 // derivLen cycles — a fall that lands during the warm-up blackout is
-// still caught by the first real decision. hist is in FIFO order
-// (oldest first); it returns TrendFlat when the history has fewer than
-// two samples.
+// still caught by the first real decision. It returns TrendFlat when
+// the history has fewer than two samples.
 //
-// This slice form is the algorithm's reference surface (tests, external
-// callers). The runtime's hot path evaluates the same arithmetic
-// directly over the ring storage via predictTrendRing, avoiding the
-// per-invoke Snapshot allocation; TestTrendRingMatchesSlice pins the
-// two equal.
-func PredictTrend(hist []float64, derivLen int, incGBs, decGBs float64) Trend {
-	n := len(hist) - 1
-	if n < 1 {
-		return TrendFlat
-	}
-	if derivLen > n {
-		derivLen = n
-	}
-	for span := 1; span <= derivLen; span++ {
-		d := (hist[n] - hist[n-span]) / float64(span)
-		switch {
-		case d > incGBs:
-			return TrendUp
-		case d < -decGBs:
-			return TrendDown
-		}
-	}
-	return TrendFlat
-}
-
-// predictTrendRing is PredictTrend evaluated in place over the ring
-// buffer: identical arithmetic in identical order, no Snapshot copy.
+// It reads the ring in place, with no Snapshot copy. The slice-form
+// reference PredictTrend (reference_test.go) is pinned equal to it by
+// TestTrendRingMatchesSlice.
 func predictTrendRing(hist *ring.Buffer[float64], derivLen int, incGBs, decGBs float64) Trend {
 	n := hist.Len() - 1
 	if n < 1 {
@@ -216,26 +191,6 @@ func predictTrendRing(hist *ring.Buffer[float64], derivLen int, incGBs, decGBs f
 		}
 	}
 	return TrendFlat
-}
-
-// HighFrequency is Algorithm 2: the fraction of recent cycles that
-// produced a tuning decision, compared against the threshold.
-//
-// Like PredictTrend, this slice form is the reference surface; the
-// runtime maintains the non-zero count incrementally as entries enter
-// and leave the tune log (pushTune), so the per-invoke check is O(1)
-// with no Snapshot.
-func HighFrequency(tuneLog []int, threshold float64) bool {
-	if len(tuneLog) == 0 {
-		return false
-	}
-	s := 0
-	for _, v := range tuneLog {
-		if v != 0 {
-			s++
-		}
-	}
-	return float64(s)/float64(len(tuneLog)) >= threshold
 }
 
 // Decision describes one MDFS cycle's outcome, for tracing and tests.
@@ -492,7 +447,8 @@ func (m *MAGUS) Invoke(now time.Duration) time.Duration {
 
 	// Phase 2 first (Algorithm 3 lines 9–15): the high-frequency state
 	// is computed from the log of *previous* cycles' decisions — the
-	// rolling non-zero count over the same ratio HighFrequency scans.
+	// rolling non-zero count of Algorithm 2, whose slice-form oracle
+	// HighFrequency lives in reference_test.go.
 	hi := !m.cfg.DisableHighFreq &&
 		float64(m.tuneCount)/float64(m.tuneLog.Len()) >= m.cfg.HighFreqThreshold
 	m.highFreq = hi

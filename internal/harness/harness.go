@@ -136,8 +136,9 @@ func BuildEnv(n *node.Node) (*governor.Env, error) {
 }
 
 // BuildFaultyEnv is BuildEnv with a fault-wrapper set interposed on
-// the telemetry devices, for callers outside the harness (the cluster
-// engine arms per-member fault plans). A nil set is exactly BuildEnv.
+// the telemetry devices, for code that rebuilds the run wiring by hand:
+// the benchmark's traced replica and the cluster test oracle. A nil set
+// is exactly BuildEnv.
 func BuildFaultyEnv(n *node.Node, fset *faults.Set) (*governor.Env, error) {
 	env, _, err := buildEnv(n, fset, nil)
 	return env, err

@@ -82,6 +82,20 @@ func (ss *spanSampler) step(dt time.Duration) {
 	}
 }
 
+// UncorePowerModel is the spans ledger's uncore power model for a node
+// configuration: the run tracer and the fleet waste ledger both
+// decompose uncore watts against it.
+func UncorePowerModel(cfg node.Config) spans.PowerModel {
+	return spans.PowerModel{
+		BaseWatts:          cfg.Uncore.BaseWatts,
+		DynMaxWatts:        cfg.Uncore.DynMaxWatts,
+		TrafficWattsPerGBs: cfg.Uncore.TrafficWattsPerGBs,
+		PeakGBs:            cfg.BWPerSocketGBs,
+		FloorFrac:          cfg.BWFloorFrac,
+		RelMin:             cfg.UncoreMinGHz / cfg.UncoreMaxGHz,
+	}
+}
+
 // installSpans wires Options.Spans into a run: power model, arena
 // reservation, run span, the tenant split of a co-located run, the
 // ledger sampler and — when an observer is also attached — the
@@ -89,14 +103,7 @@ func (ss *spanSampler) step(dt time.Duration) {
 // MSR-write interception.
 func installSpans(opt Options, n *node.Node, src demandSource, mux *workload.Mux, wname string, gov governor.Governor, horizon time.Duration) *spanSampler {
 	tr, cfg := opt.Spans, n.Config()
-	tr.SetPowerModel(spans.PowerModel{
-		BaseWatts:          cfg.Uncore.BaseWatts,
-		DynMaxWatts:        cfg.Uncore.DynMaxWatts,
-		TrafficWattsPerGBs: cfg.Uncore.TrafficWattsPerGBs,
-		PeakGBs:            cfg.BWPerSocketGBs,
-		FloorFrac:          cfg.BWFloorFrac,
-		RelMin:             cfg.UncoreMinGHz / cfg.UncoreMaxGHz,
-	})
+	tr.SetPowerModel(UncorePowerModel(cfg))
 	// Arena sized from the run horizon: per tick one tick span, at
 	// most one decision and Sockets MSR writes, plus the window spans
 	// and the root.

@@ -280,6 +280,19 @@ func (s *Steppable) Advance(d time.Duration) (bool, error) {
 	return false, nil
 }
 
+// Tick advances the run by exactly one engine step, for a lockstep
+// driver that owns completion and the horizon itself (the cluster
+// shard). Unlike Advance it ignores the horizon, keeps stepping after
+// the workload completes — the node integrates idle power and the
+// governor keeps firing, as inside one engine shared with unfinished
+// runs — and never finalises: Done stays false and Result stays zero.
+// Do not mix Tick with Advance on one run.
+func (s *Steppable) Tick() { s.eng.Tick() }
+
+// WorkloadDone reports whether the workload has completed, whether or
+// not the result has been finalised.
+func (s *Steppable) WorkloadDone() bool { return s.src.Done() }
+
 // finish finalises the result, mirroring the tail of Run.
 func (s *Steppable) finish() Result {
 	s.opt.Spans.Finish(s.eng.Clock().Now())

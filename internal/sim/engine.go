@@ -95,7 +95,7 @@ var ErrHorizon = errors.New("sim: horizon reached before stop condition")
 func (e *Engine) RunFor(d time.Duration) {
 	end := e.clock.Now() + d
 	for e.clock.Now() < end {
-		e.step()
+		e.Tick()
 	}
 }
 
@@ -112,14 +112,16 @@ func (e *Engine) RunUntil(done func() bool, horizon time.Duration) (time.Duratio
 		if e.clock.Now() >= end {
 			return e.clock.Now(), ErrHorizon
 		}
-		e.step()
+		e.Tick()
 	}
 	return e.clock.Now(), nil
 }
 
-// step advances one timestep: due tasks fire first (a governor observes
-// state as of the end of the previous step), then components integrate.
-func (e *Engine) step() {
+// Tick advances exactly one timestep: due tasks fire first (a governor
+// observes state as of the end of the previous step), then components
+// integrate. RunFor and RunUntil are loops of Tick; lockstep drivers
+// that interleave several engines call it directly.
+func (e *Engine) Tick() {
 	now := e.clock.Now()
 	for _, t := range e.tasks {
 		if now >= t.next {

@@ -124,7 +124,7 @@ func writeFuzzCorpus(t *testing.T, golden []byte) {
 		"header-only":   golden[:24],
 		"bad-magic":     mut(func(b []byte) { b[0] = 'X' }),
 		"bad-version":   mut(func(b []byte) { binary.BigEndian.PutUint32(b[8:], 999) }),
-		"huge-length":   mut(func(b []byte) { binary.BigEndian.PutUint64(b[12:], 1 << 40) }),
+		"huge-length":   mut(func(b []byte) { binary.BigEndian.PutUint64(b[12:], 1<<40) }),
 		"bad-crc":       mut(func(b []byte) { b[20] ^= 0xff }),
 		"flipped-gob":   mut(func(b []byte) { b[len(b)/2] ^= 0x55 }),
 		"truncated-gob": golden[:len(golden)-len(golden)/3],

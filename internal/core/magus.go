@@ -275,15 +275,14 @@ type Stats struct {
 	WatchdogOverruns uint64
 }
 
-// MAGUS is the runtime. Create with New, bind with Attach, then let the
-// harness call Invoke on the decision schedule.
-type MAGUS struct {
-	cfg Config
-	env *governor.Env
-
-	// sensor is the resilient read path over env.PCM: bounded retry,
-	// virtual-clock timeouts, wild/stale rejection and health tracking.
-	sensor *resilient.MemSensor
+// mdfs is the MDFS automaton (Algorithm 3): the per-cycle state and
+// transition shared by the live runtime and the tournament's replay.
+// A nil env is a replay: no MSR write happens and every write is
+// assumed to succeed.
+type mdfs struct {
+	cfg            Config
+	env            *governor.Env
+	minGHz, maxGHz float64
 
 	memHist *ring.Buffer[float64]
 	tuneLog *ring.Buffer[int]
@@ -300,7 +299,220 @@ type MAGUS struct {
 	// while the high-frequency override is pinning the uncore (§3.2).
 	lastTrend Trend
 
-	stats      Stats
+	stats Stats
+}
+
+// start puts the automaton in its attach-time state on an uncore range:
+// empty history, uncore_tune_ls initialised to Window zeros (§3.3), a
+// full warm-up ahead, and the warm-up uncore limit as the target.
+func (a *mdfs) start(minGHz, maxGHz float64) {
+	a.minGHz, a.maxGHz = minGHz, maxGHz
+	a.memHist = ring.New[float64](a.cfg.Window)
+	a.tuneLog = ring.Filled(a.cfg.Window, 0)
+	a.restartWarmup()
+	a.stats = Stats{}
+	a.targetGHz = minGHz
+	if a.cfg.WarmupAtMax {
+		a.targetGHz = maxGHz
+	}
+}
+
+// cycle advances the automaton by one decision cycle and returns the
+// decision it implies, with At and SensorHealth left zero.
+func (a *mdfs) cycle(in ReplayInput) Decision {
+	if in.Missed {
+		return a.missedSample(in.Lost)
+	}
+	if in.Recovered {
+		// The sensor returned after a full outage: the trend window and
+		// tune log hold pre-outage state that no longer describes the
+		// workload. Re-enter warm-up (uncore stays pinned at max until
+		// it completes, so recovery never costs performance).
+		a.restartWarmup()
+	}
+	thr := in.ThroughputGBs
+	prevGHz := a.targetGHz
+	a.memHist.Push(thr)
+	deriv := a.deriv1()
+
+	if a.warmupLeft > 0 {
+		a.warmupLeft--
+		a.stats.WarmupCycles++
+		a.pushTune(0)
+		reason := ReasonWarmup
+		if a.warmupLeft == 0 {
+			// Warm-up complete: start from peak uncore performance so
+			// rapidly rising demand is never starved at kick-off (§3.3).
+			a.setUncore(a.maxGHz)
+			a.lastTrend = TrendUp
+			reason = ReasonWarmupExit
+		}
+		return Decision{
+			ThroughputGBs: thr, Warmup: true, TargetGHz: a.targetGHz,
+			PrevGHz: prevGHz, DerivGBs: deriv, RingFill: a.memHist.Len(), Reason: reason,
+		}
+	}
+
+	// Phase 2 first (Algorithm 3 lines 9–15): the high-frequency state
+	// is computed from the log of *previous* cycles' decisions — the
+	// rolling non-zero count of Algorithm 2, whose slice-form oracle
+	// HighFrequency lives in reference_test.go.
+	hi := !a.cfg.DisableHighFreq &&
+		float64(a.tuneCount)/float64(a.tuneLog.Len()) >= a.cfg.HighFreqThreshold
+	a.highFreq = hi
+	acted := false
+	if hi {
+		acted = a.setUncore(a.maxGHz)
+	}
+
+	// Phase 1 (lines 16–30): predict, log the potential tuning event
+	// (a flip of the prediction's requested level), and execute it only
+	// when not in a high-frequency state.
+	trend := predictTrendRing(a.memHist, a.cfg.DerivLen, a.cfg.IncThresholdGBs, a.cfg.DecThresholdGBs)
+	if trend != TrendFlat {
+		if trend != a.lastTrend {
+			a.pushTune(1)
+			a.stats.TuneEvents++
+			if hi {
+				a.stats.Overrides++
+			}
+		} else {
+			a.pushTune(0)
+		}
+		a.lastTrend = trend
+		if !hi {
+			level := a.maxGHz
+			if trend == TrendDown {
+				level = a.minGHz
+			}
+			acted = a.setUncore(level) || acted
+		}
+	} else {
+		a.pushTune(0)
+	}
+
+	reason := ReasonFlatHold
+	switch {
+	case hi:
+		reason = ReasonHighFreqPin
+	case trend == TrendUp:
+		reason = ReasonTrendUp
+	case trend == TrendDown:
+		reason = ReasonTrendDown
+	}
+	return Decision{
+		ThroughputGBs: thr, Trend: trend, HighFreq: hi,
+		TargetGHz: a.targetGHz, Acted: acted,
+		PrevGHz: prevGHz, DerivGBs: deriv, RingFill: a.memHist.Len(), Reason: reason,
+	}
+}
+
+// missedSample is the fail-safe arm of Algorithm 3: the cycle produced
+// no usable throughput sample. While merely degraded, hold the last
+// uncore decision and skip the derivative update — one dropped sample
+// must not feed garbage into the trend window. Once the sensor is lost
+// (or the runtime is still blind in warm-up, with no decision to hold),
+// degrade to vendor-default behaviour: pin the uncore at max so
+// performance is never sacrificed to a blind policy.
+func (a *mdfs) missedSample(lost bool) Decision {
+	inWarmup := a.warmupLeft > 0
+	prevGHz := a.targetGHz
+	acted := false
+	reason := ReasonHoldDegraded
+	if inWarmup || lost {
+		acted = a.setUncore(a.maxGHz)
+		reason = ReasonPinLost
+		if inWarmup {
+			reason = ReasonPinWarmupBlind
+		}
+	}
+	return Decision{
+		Warmup: inWarmup, TargetGHz: a.targetGHz, Acted: acted, Missed: true,
+		PrevGHz: prevGHz, RingFill: a.memHist.Len(), Reason: reason,
+	}
+}
+
+// restartWarmup re-enters the warm-up monitoring phase with clean
+// history, as on Attach.
+func (a *mdfs) restartWarmup() {
+	a.warmupLeft = a.cfg.WarmupCycles
+	a.memHist.Reset()
+	a.tuneLog.Fill(0)
+	a.tuneCount = 0
+	a.lastTrend = TrendFlat
+	a.highFreq = false
+}
+
+// deriv1 returns the one-interval first derivative of the throughput
+// history (the span Algorithm 1 reacts to first), 0 with < 2 samples.
+func (a *mdfs) deriv1() float64 {
+	n := a.memHist.Len() - 1
+	if n < 1 {
+		return 0
+	}
+	return a.memHist.At(n) - a.memHist.At(n-1)
+}
+
+// pushTune records one cycle's tune-event bit and keeps the rolling
+// non-zero count in sync with what enters and leaves the log.
+func (a *mdfs) pushTune(v int) {
+	evicted, wasFull := a.tuneLog.Push(v)
+	if wasFull && evicted != 0 {
+		a.tuneCount--
+	}
+	if v != 0 {
+		a.tuneCount++
+	}
+}
+
+// setUncore writes the limit if it differs from the current target and
+// reports whether a write happened. Without an env (a replay) the write
+// is assumed to succeed.
+func (a *mdfs) setUncore(ghz float64) bool {
+	if ghz == a.targetGHz {
+		return false
+	}
+	if a.env != nil {
+		if err := a.env.SetUncoreMax(ghz); err != nil {
+			return false
+		}
+		a.stats.MSRWrites += uint64(a.env.Sockets)
+	}
+	a.targetGHz = ghz
+	return true
+}
+
+// sameState reports whether two automata hold exactly the same state:
+// history, tune log, warm-up position, trend memory and uncore target.
+func (a *mdfs) sameState(o *mdfs) bool {
+	if a.warmupLeft != o.warmupLeft || a.highFreq != o.highFreq ||
+		a.targetGHz != o.targetGHz || a.lastTrend != o.lastTrend ||
+		a.tuneCount != o.tuneCount ||
+		a.memHist.Len() != o.memHist.Len() || a.tuneLog.Len() != o.tuneLog.Len() {
+		return false
+	}
+	for i := 0; i < a.memHist.Len(); i++ {
+		if a.memHist.At(i) != o.memHist.At(i) {
+			return false
+		}
+	}
+	for i := 0; i < a.tuneLog.Len(); i++ {
+		if a.tuneLog.At(i) != o.tuneLog.At(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// MAGUS is the runtime. Create with New, bind with Attach, then let the
+// harness call Invoke on the decision schedule.
+type MAGUS struct {
+	mdfs
+
+	// sensor is the resilient read path over env.PCM: bounded retry,
+	// virtual-clock timeouts, wild/stale rejection and health tracking.
+	sensor *resilient.MemSensor
+
 	onDecision []func(Decision)
 }
 
@@ -309,7 +521,7 @@ func New(cfg Config) *MAGUS {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &MAGUS{cfg: cfg}
+	return &MAGUS{mdfs: mdfs{cfg: cfg}}
 }
 
 // Name implements governor.Governor.
@@ -325,18 +537,23 @@ func (m *MAGUS) Config() Config { return m.cfg }
 // Stats returns runtime counters, merged with the resilient sensor
 // layer's fault-handling counters.
 func (m *MAGUS) Stats() Stats {
-	s := m.stats
-	if m.sensor != nil {
-		c := m.sensor.Counters()
-		s.MissedSamples = c.Misses
-		s.SensorRetries = c.Retries
-		s.SensorTimeouts = c.Timeouts
-		s.WildSamples = c.WildDrops
-		s.StaleSamples = c.StaleDrops
-		s.DegradedCycles = c.DegradedCycles
-		s.LostCycles = c.LostCycles
-		s.Recoveries = c.Recoveries
+	if m.sensor == nil {
+		return m.stats
 	}
+	return m.stats.WithSensor(m.sensor.Counters())
+}
+
+// WithSensor returns s with its sensor fields set from the resilient
+// sensor layer's counters.
+func (s Stats) WithSensor(c resilient.Counters) Stats {
+	s.MissedSamples = c.Misses
+	s.SensorRetries = c.Retries
+	s.SensorTimeouts = c.Timeouts
+	s.WildSamples = c.WildDrops
+	s.StaleSamples = c.StaleDrops
+	s.DegradedCycles = c.DegradedCycles
+	s.LostCycles = c.LostCycles
+	s.Recoveries = c.Recoveries
 	return s
 }
 
@@ -359,9 +576,6 @@ func (m *MAGUS) OnDecision(fn func(Decision)) {
 	m.onDecision = append(m.onDecision, fn)
 }
 
-// TargetGHz returns the uncore limit MAGUS currently requests.
-func (m *MAGUS) TargetGHz() float64 { return m.targetGHz }
-
 // Attach implements governor.Governor. Per §4, nodes idle with the
 // uncore at its minimum; MAGUS begins its warm-up when the application
 // arrives.
@@ -374,22 +588,10 @@ func (m *MAGUS) Attach(env *governor.Env) error {
 	}
 	m.env = env
 	m.sensor = resilient.NewMemSensor(env.PCM, m.cfg.Resilience)
-	m.memHist = ring.New[float64](m.cfg.Window)
-	// uncore_tune_ls initialised to Window zeros (§3.3).
-	m.tuneLog = ring.Filled(m.cfg.Window, 0)
-	m.tuneCount = 0
-	m.warmupLeft = m.cfg.WarmupCycles
-	m.highFreq = false
-	m.stats = Stats{}
-
-	start := env.UncoreMinGHz
-	if m.cfg.WarmupAtMax {
-		start = env.UncoreMaxGHz
-	}
-	if err := env.SetUncoreMax(start); err != nil {
+	m.start(env.UncoreMinGHz, env.UncoreMaxGHz)
+	if err := env.SetUncoreMax(m.targetGHz); err != nil {
 		return err
 	}
-	m.targetGHz = start
 	m.stats.MSRWrites += uint64(env.Sockets)
 	return nil
 }
@@ -408,188 +610,30 @@ func (m *MAGUS) Invoke(now time.Duration) time.Duration {
 		// budget, so this cycle finishes after its successor was due.
 		m.stats.WatchdogOverruns++
 	}
+	in := ReplayInput{ThroughputGBs: r.GBs, Recovered: r.RecoveredFromLost}
 	if !r.OK {
-		return m.missedSample(now, r)
+		in = ReplayInput{Missed: true, Lost: r.Health == resilient.Lost}
 	}
-	if r.RecoveredFromLost {
-		// The sensor returned after a full outage: the trend window and
-		// tune log hold pre-outage state that no longer describes the
-		// workload. Re-enter warm-up (uncore stays pinned at max until
-		// it completes, so recovery never costs performance).
-		m.restartWarmup()
+	d := m.cycle(in)
+	d.At = now
+	if !r.OK {
+		d.SensorHealth = r.Health
 	}
-	thr := r.GBs
-	prevGHz := m.targetGHz
-	m.memHist.Push(thr)
-	deriv := m.deriv1()
-
-	if m.warmupLeft > 0 {
-		m.warmupLeft--
-		m.stats.WarmupCycles++
-		m.pushTune(0)
-		reason := ReasonWarmup
-		if m.warmupLeft == 0 {
-			// Warm-up complete: start from peak uncore performance so
-			// rapidly rising demand is never starved at kick-off (§3.3).
-			m.setUncore(m.env.UncoreMaxGHz)
-			m.lastTrend = TrendUp
-			reason = ReasonWarmupExit
-		}
-		m.emit(Decision{
-			At: now, ThroughputGBs: thr, Warmup: true, TargetGHz: m.targetGHz,
-			PrevGHz: prevGHz, DerivGBs: deriv, RingFill: m.memHist.Len(), Reason: reason,
-		})
+	for _, fn := range m.onDecision {
+		fn(d)
+	}
+	if d.Warmup {
 		// Warm-up cycles are pure monitoring at the paper's 0.2 s
 		// frequency (10 cycles = 2.0 s); full decision cycles with the
 		// 0.1 s invocation window start afterwards (§3.3, §6.5).
 		return m.cfg.Interval + r.Latency
 	}
-
-	// Phase 2 first (Algorithm 3 lines 9–15): the high-frequency state
-	// is computed from the log of *previous* cycles' decisions — the
-	// rolling non-zero count of Algorithm 2, whose slice-form oracle
-	// HighFrequency lives in reference_test.go.
-	hi := !m.cfg.DisableHighFreq &&
-		float64(m.tuneCount)/float64(m.tuneLog.Len()) >= m.cfg.HighFreqThreshold
-	m.highFreq = hi
-	acted := false
-	if hi {
-		acted = m.setUncore(m.env.UncoreMaxGHz)
-	}
-
-	// Phase 1 (lines 16–30): predict, log the potential tuning event
-	// (a flip of the prediction's requested level), and execute it only
-	// when not in a high-frequency state.
-	trend := predictTrendRing(m.memHist, m.cfg.DerivLen, m.cfg.IncThresholdGBs, m.cfg.DecThresholdGBs)
-	if trend != TrendFlat {
-		if trend != m.lastTrend {
-			m.pushTune(1)
-			m.stats.TuneEvents++
-			if hi {
-				m.stats.Overrides++
-			}
-		} else {
-			m.pushTune(0)
-		}
-		m.lastTrend = trend
-		if !hi {
-			level := m.env.UncoreMaxGHz
-			if trend == TrendDown {
-				level = m.env.UncoreMinGHz
-			}
-			acted = m.setUncore(level) || acted
-		}
-	} else {
-		m.pushTune(0)
-	}
-
-	reason := ReasonFlatHold
-	switch {
-	case hi:
-		reason = ReasonHighFreqPin
-	case trend == TrendUp:
-		reason = ReasonTrendUp
-	case trend == TrendDown:
-		reason = ReasonTrendDown
-	}
-	m.emit(Decision{
-		At: now, ThroughputGBs: thr, Trend: trend, HighFreq: hi,
-		TargetGHz: m.targetGHz, Acted: acted,
-		PrevGHz: prevGHz, DerivGBs: deriv, RingFill: m.memHist.Len(), Reason: reason,
-	})
-	return m.delay(r.Latency)
-}
-
-// missedSample is the fail-safe arm of Algorithm 3: the cycle produced
-// no usable throughput sample. While merely degraded, hold the last
-// uncore decision and skip the derivative update — one dropped sample
-// must not feed garbage into the trend window. Once the sensor is lost
-// (or the runtime is still blind in warm-up, with no decision to hold),
-// degrade to vendor-default behaviour: pin the uncore at max so
-// performance is never sacrificed to a blind policy.
-func (m *MAGUS) missedSample(now time.Duration, r resilient.Reading) time.Duration {
-	inWarmup := m.warmupLeft > 0
-	prevGHz := m.targetGHz
-	acted := false
-	reason := ReasonHoldDegraded
-	if inWarmup || r.Health == resilient.Lost {
-		acted = m.setUncore(m.env.UncoreMaxGHz)
-		reason = ReasonPinLost
-		if inWarmup {
-			reason = ReasonPinWarmupBlind
-		}
-	}
-	m.emit(Decision{
-		At: now, Warmup: inWarmup, TargetGHz: m.targetGHz, Acted: acted,
-		Missed: true, SensorHealth: r.Health,
-		PrevGHz: prevGHz, RingFill: m.memHist.Len(), Reason: reason,
-	})
-	if inWarmup {
-		return m.cfg.Interval + r.Latency
-	}
-	return m.delay(r.Latency)
-}
-
-// restartWarmup re-enters the warm-up monitoring phase with clean
-// history, as on Attach.
-func (m *MAGUS) restartWarmup() {
-	m.warmupLeft = m.cfg.WarmupCycles
-	m.memHist.Reset()
-	m.tuneLog.Fill(0)
-	m.tuneCount = 0
-	m.lastTrend = TrendFlat
-	m.highFreq = false
-}
-
-// deriv1 returns the one-interval first derivative of the throughput
-// history (the span Algorithm 1 reacts to first), 0 with < 2 samples.
-func (m *MAGUS) deriv1() float64 {
-	n := m.memHist.Len() - 1
-	if n < 1 {
+	if r.Latency <= 0 {
 		return 0
 	}
-	return m.memHist.At(n) - m.memHist.At(n-1)
-}
-
-// pushTune records one cycle's tune-event bit and keeps the rolling
-// non-zero count in sync with what enters and leaves the log.
-func (m *MAGUS) pushTune(v int) {
-	evicted, wasFull := m.tuneLog.Push(v)
-	if wasFull && evicted != 0 {
-		m.tuneCount--
-	}
-	if v != 0 {
-		m.tuneCount++
-	}
-}
-
-// delay converts a cycle's extra sensor latency into the absolute delay
-// until the next invocation (0 = the nominal Interval()).
-func (m *MAGUS) delay(extra time.Duration) time.Duration {
-	if extra <= 0 {
-		return 0
-	}
-	return m.Interval() + extra
-}
-
-// setUncore writes the limit if it differs from the current target and
-// reports whether a write happened.
-func (m *MAGUS) setUncore(ghz float64) bool {
-	if ghz == m.targetGHz {
-		return false
-	}
-	if err := m.env.SetUncoreMax(ghz); err != nil {
-		return false
-	}
-	m.targetGHz = ghz
-	m.stats.MSRWrites += uint64(m.env.Sockets)
-	return true
-}
-
-func (m *MAGUS) emit(d Decision) {
-	for _, fn := range m.onDecision {
-		fn(d)
-	}
+	// Extra sensor latency delays the next invocation (0 = the
+	// nominal Interval()).
+	return m.Interval() + r.Latency
 }
 
 // HighFreqActive reports whether the last cycle classified the workload

@@ -14,11 +14,12 @@ import (
 
 // TestReplayMatchesMAGUS is the randomized cross-validation behind the
 // tournament's fork planner: over random configurations, workloads,
-// seeds and (non-MSR) fault schedules, the pure Replay automaton fed
-// with inputs inferred from a real run's Decision stream must
-// reproduce every cycle's outcome exactly. MSR-write faults are
-// excluded because a replay cannot model a failed setUncore — the
-// planner handles that case by validated conservative forking, which
+// seeds and (non-MSR) fault schedules, a Replay fed with inputs
+// inferred from a real run's Decision stream must reproduce every
+// cycle's outcome, and the runtime's automaton state after it,
+// exactly. MSR-write faults are excluded because a replay assumes
+// every uncore write succeeds — the planner handles that case by
+// validated conservative forking, which
 // TestReplayConservativeOnMSRFaults exercises.
 func TestReplayMatchesMAGUS(t *testing.T) {
 	configs := []func() node.Config{node.IntelA100, node.IntelCPUOnly, node.Intel4A100}
@@ -48,16 +49,29 @@ func TestReplayMatchesMAGUS(t *testing.T) {
 
 		label := fmt.Sprintf("trial%d/%s/%s/faults=%q", trial, sys.Name, prog, planName)
 		t.Run(label, func(t *testing.T) {
-			ds := recordedRun(t, sys, prog, planName, seed, cfg)
+			// The replay runs in lockstep with the live runtime, so after
+			// each cycle its automaton state can be compared with the
+			// runtime's, not just its decision.
 			rp := core.NewReplay(cfg, sys.UncoreMinGHz, sys.UncoreMaxGHz)
-			for i, d := range ds {
-				in := core.InferReplayInput(d, rp)
-				got := rp.Cycle(in)
-				if !got.SameOutcome(d) {
-					t.Fatalf("cycle %d diverged:\n replay  %+v\n runtime %+v", i, got, d)
+			gov := core.New(cfg)
+			cycles, bad := 0, false
+			gov.OnDecision(func(d core.Decision) {
+				if bad {
+					return
 				}
-			}
-			if len(ds) == 0 {
+				got := rp.Cycle(core.InferReplayInput(d, rp))
+				switch {
+				case !got.SameOutcome(d):
+					t.Errorf("cycle %d diverged:\n replay  %+v\n runtime %+v", cycles, got, d)
+					bad = true
+				case !core.SameAutomatonState(rp, gov):
+					t.Errorf("cycle %d: replay automaton state differs from the runtime's", cycles)
+					bad = true
+				}
+				cycles++
+			})
+			runMAGUS(t, sys, prog, planName, seed, gov)
+			if cycles == 0 {
 				t.Fatal("run produced no decisions")
 			}
 		})
@@ -67,6 +81,17 @@ func TestReplayMatchesMAGUS(t *testing.T) {
 // recordedRun executes prog on sys under a MAGUS with cfg and returns
 // the recorded Decision stream.
 func recordedRun(t *testing.T, sys node.Config, prog, planName string, seed int64, cfg core.Config) []core.Decision {
+	t.Helper()
+	gov := core.New(cfg)
+	var ds []core.Decision
+	gov.OnDecision(func(d core.Decision) { ds = append(ds, d) })
+	runMAGUS(t, sys, prog, planName, seed, gov)
+	return ds
+}
+
+// runMAGUS executes prog on sys under gov, with the named fault preset
+// (if any) seeded like the workload.
+func runMAGUS(t *testing.T, sys node.Config, prog, planName string, seed int64, gov *core.MAGUS) {
 	t.Helper()
 	p, ok := workload.ByName(prog)
 	if !ok {
@@ -81,13 +106,9 @@ func recordedRun(t *testing.T, sys node.Config, prog, planName string, seed int6
 		plan.Seed = seed
 		opt.Faults = plan
 	}
-	gov := core.New(cfg)
-	var ds []core.Decision
-	gov.OnDecision(func(d core.Decision) { ds = append(ds, d) })
 	if _, err := harness.Run(sys, p, gov, opt); err != nil {
 		t.Fatal(err)
 	}
-	return ds
 }
 
 // TestReplayConservativeOnMSRFaults pins the safety property behind

@@ -156,12 +156,13 @@ func (r TournamentResult) SharedSeconds() float64 {
 // cell of the grid and reports per-entry power-waste attribution.
 //
 // Unless opt.Scratch is set, MAGUS variants share the base run's
-// prefix: a replay of the MDFS automaton (core.Replay) over the base
-// run's decision stream finds the first cycle at which each variant
-// would act differently, and the variant resumes from a checkpoint
-// taken just before that cycle instead of re-executing the shared
-// prefix. Cells are reassembled in canonical grid order, so the
-// result is byte-identical to the serial from-scratch sweep.
+// prefix: a replay of the runtime's own MDFS transition (core.Replay,
+// with every uncore write assumed to succeed) over the base run's
+// decision stream finds the first cycle at which each variant would
+// act differently, and the variant resumes from a checkpoint taken
+// just before that cycle instead of re-executing the shared prefix.
+// Cells are reassembled in canonical grid order, so the result is
+// byte-identical to the serial from-scratch sweep.
 func Tournament(opt TournamentOptions) (TournamentResult, error) {
 	opt = opt.normalize()
 

@@ -64,11 +64,7 @@ func LookupGovernor(gov governor.Governor) GovernorSurfaces {
 // resilienceCounters snapshots a baseline governor's invocation count
 // and sensing-path counters.
 func resilienceCounters(inv uint64, r resilient.Counters) govCounters {
-	return govCounters{Stats: core.Stats{
-		Invocations: inv, MissedSamples: r.Misses, SensorRetries: r.Retries, SensorTimeouts: r.Timeouts,
-		WildSamples: r.WildDrops, StaleSamples: r.StaleDrops,
-		DegradedCycles: r.DegradedCycles, LostCycles: r.LostCycles, Recoveries: r.Recoveries,
-	}}
+	return govCounters{Stats: core.Stats{Invocations: inv}.WithSensor(r)}
 }
 
 // probe is the run's single observation component, added after the

@@ -230,7 +230,7 @@ func BuildHSMPEnv(n *Node, mb *HSMPMailbox) *Env { return hsmp.BuildEnv(n, mb) }
 type FaultPlan = faults.Plan
 
 // Fault is one entry of a plan: a fault class (error, stall, stale,
-// wild, loss) against one telemetry target (pcm, msr, rapl, nvml)
+// wild, loss) against one telemetry target (pcm, msr, rapl)
 // over an onset/duration window at a given rate.
 type Fault = faults.Fault
 

@@ -1,12 +1,12 @@
 // Package faults is the deterministic fault-injection layer for the
 // simulated node's telemetry and control devices. A Plan — parsed from
 // JSON or picked from a named preset — schedules faults against the
-// MSR register space, the PCM throughput monitors, the RAPL energy
-// counters (addressed through their MSR registers) and the NVML board
-// readouts. Each fault has a class, an onset, a duration and a
-// per-read rate, and every probabilistic decision draws from a seeded
-// generator, so a given (plan, seed, workload seed) triple reproduces
-// the exact same failure sequence on every run.
+// MSR register space, the PCM throughput monitors and the RAPL energy
+// counters (addressed through their MSR registers). Each fault has a
+// class, an onset, a duration and a per-read rate, and every
+// probabilistic decision draws from a seeded generator, so a given
+// (plan, seed, workload seed) triple reproduces the exact same failure
+// sequence on every run.
 //
 // Fault classes model what production telemetry actually does when it
 // misbehaves (the DCGM-fallback machinery in GPU exporters exists for
@@ -62,7 +62,6 @@ const (
 	TargetPCM  Target = "pcm"
 	TargetMSR  Target = "msr"
 	TargetRAPL Target = "rapl"
-	TargetNVML Target = "nvml"
 )
 
 // Fault schedules one fault against one target.
@@ -86,7 +85,7 @@ type Fault struct {
 // validate reports schema errors.
 func (f Fault) validate() error {
 	switch f.Target {
-	case TargetPCM, TargetMSR, TargetRAPL, TargetNVML:
+	case TargetPCM, TargetMSR, TargetRAPL:
 	default:
 		return fmt.Errorf("faults: unknown target %q", f.Target)
 	}
@@ -102,8 +101,6 @@ func (f Fault) validate() error {
 		return fmt.Errorf("faults: rate %v outside [0,1]", f.Rate)
 	case f.StallMS < 0:
 		return fmt.Errorf("faults: negative stall %v ms", f.StallMS)
-	case f.Class == ClassStall && f.Target == TargetNVML:
-		return fmt.Errorf("faults: nvml readouts cannot stall (no latency channel)")
 	}
 	return nil
 }
@@ -259,9 +256,6 @@ var presets = map[string]Plan{
 	}},
 	"rapl-outage": {Faults: []Fault{
 		{Target: TargetRAPL, Class: ClassError, OnsetS: 5, DurationS: 10},
-	}},
-	"nvml-stale": {Faults: []Fault{
-		{Target: TargetNVML, Class: ClassStale, OnsetS: 5, DurationS: 15},
 	}},
 	"chaos": {Faults: []Fault{
 		{Target: TargetPCM, Class: ClassError, OnsetS: 2, DurationS: 15, Rate: 0.25},

@@ -18,7 +18,7 @@ func TestParseRejectsBadPlans(t *testing.T) {
 		`{"faults": [{"target": "pcm", "class": "error", "onset_s": -1}]}`,
 		`{"faults": [{"target": "pcm", "class": "error", "rate": 1.5}]}`,
 		`{"faults": [{"target": "pcm", "class": "stall", "stall_ms": -5}]}`,
-		`{"faults": [{"target": "nvml", "class": "stall"}]}`,
+		`{"faults": [{"target": "nvml", "class": "stale"}]}`,
 		`{"faults": [{"target": "pcm", "class": "error", "bogus_field": 1}]}`,
 		`{"not json`,
 	}

@@ -8,7 +8,6 @@ import (
 
 	"github.com/spear-repro/magus/internal/detrand"
 	"github.com/spear-repro/magus/internal/msr"
-	"github.com/spear-repro/magus/internal/nvml"
 	"github.com/spear-repro/magus/internal/pcm"
 )
 
@@ -121,7 +120,6 @@ type Set struct {
 	// capture their hold-last caches alongside the injector streams.
 	pcms    []*PCM
 	devices []*Device
-	boards  []*Board
 }
 
 // NewSet builds a wrapper factory for plan. now supplies the node's
@@ -196,20 +194,6 @@ func (s *Set) WrapDevice(inner msr.Device) msr.Device {
 		stale: make(map[staleKey]uint64),
 	}
 	s.devices = append(s.devices, w)
-	return w
-}
-
-// WrapBoard wraps an NVML board with the plan's nvml faults.
-func (s *Set) WrapBoard(inner nvml.Board) nvml.Board {
-	if s == nil {
-		return inner
-	}
-	in := s.injector(TargetNVML)
-	if in == nil {
-		return inner
-	}
-	w := &Board{inner: inner, inj: in, now: s.now}
-	s.boards = append(s.boards, w)
 	return w
 }
 
@@ -343,79 +327,3 @@ func (d *Device) Write(cpu int, reg uint32, val uint64) error {
 
 // LastReadLatency reports the virtual latency of the last access.
 func (d *Device) LastReadLatency() time.Duration { return d.lastLat }
-
-// ---- NVML board wrapper ----
-
-// Board injects faults into the GPU readouts. NVML calls have no error
-// channel in this model, so error/loss faults read as a dead sensor
-// (zero power/clock/util, frozen energy) — what real NVML fallbacks
-// degrade to when a query fails.
-type Board struct {
-	inner nvml.Board
-	inj   *injector
-	now   func() time.Duration
-
-	last map[int]boardSample
-}
-
-type boardSample struct {
-	powerW, clockMHz, sm, mem, energyJ float64
-}
-
-func (b *Board) cached(i int) boardSample {
-	if b.last == nil {
-		return boardSample{}
-	}
-	return b.last[i]
-}
-
-func (b *Board) remember(i int, s boardSample) {
-	if b.last == nil {
-		b.last = make(map[int]boardSample)
-	}
-	b.last[i] = s
-}
-
-// GPUCount implements nvml.Board; enumeration never faults.
-func (b *Board) GPUCount() int { return b.inner.GPUCount() }
-
-// sample reads the full readout set for device i under one fault roll,
-// so a cycle's readings are mutually consistent.
-func (b *Board) sample(i int) boardSample {
-	a := b.inj.decide(b.now())
-	cur := boardSample{
-		powerW:   b.inner.GPUPowerW(i),
-		clockMHz: b.inner.GPUClockMHz(i),
-		energyJ:  b.inner.GPUEnergyJ(i),
-	}
-	cur.sm, cur.mem = b.inner.GPUUtil(i)
-	switch {
-	case a.err:
-		// Dead query: instantaneous readouts zero, cumulative energy
-		// frozen so downstream deltas stall instead of going negative.
-		return boardSample{energyJ: b.cached(i).energyJ}
-	case a.stale:
-		return b.cached(i)
-	case a.wild:
-		cur.powerW = cur.powerW*100 + 1e5
-		cur.sm, cur.mem = -1, -1
-		return cur
-	}
-	b.remember(i, cur)
-	return cur
-}
-
-// GPUPowerW implements nvml.Board.
-func (b *Board) GPUPowerW(i int) float64 { return b.sample(i).powerW }
-
-// GPUClockMHz implements nvml.Board.
-func (b *Board) GPUClockMHz(i int) float64 { return b.sample(i).clockMHz }
-
-// GPUUtil implements nvml.Board.
-func (b *Board) GPUUtil(i int) (sm, mem float64) {
-	s := b.sample(i)
-	return s.sm, s.mem
-}
-
-// GPUEnergyJ implements nvml.Board.
-func (b *Board) GPUEnergyJ(i int) float64 { return b.sample(i).energyJ }

@@ -32,21 +32,6 @@ type DeviceState struct {
 	LastLat time.Duration
 }
 
-// BoardEntry is one remembered per-GPU sample in a board wrapper.
-type BoardEntry struct {
-	Index    int
-	PowerW   float64
-	ClockMHz float64
-	SM       float64
-	Mem      float64
-	EnergyJ  float64
-}
-
-// BoardState is the nvml board wrapper's hold-last cache.
-type BoardState struct {
-	Last []BoardEntry
-}
-
 // SetState is a wrapper set's full mutable state. Wrappers and
 // injectors are listed in creation order, which is deterministic: the
 // harness wires devices in a fixed sequence, so a set rebuilt from the
@@ -55,13 +40,12 @@ type SetState struct {
 	Injectors []InjectorState
 	PCMs      []PCMState
 	Devices   []DeviceState
-	Boards    []BoardState
 }
 
 // State captures every injector stream and wrapper cache the set
 // handed out. Nil for a nil or unarmed set.
 func (s *Set) State() *SetState {
-	if s == nil || len(s.injectors) == 0 && len(s.pcms) == 0 && len(s.devices) == 0 && len(s.boards) == 0 {
+	if s == nil || len(s.injectors) == 0 && len(s.pcms) == 0 && len(s.devices) == 0 {
 		return nil
 	}
 	st := &SetState{}
@@ -89,17 +73,6 @@ func (s *Set) State() *SetState {
 		})
 		st.Devices = append(st.Devices, ds)
 	}
-	for _, b := range s.boards {
-		bs := BoardState{}
-		for i, smp := range b.last {
-			bs.Last = append(bs.Last, BoardEntry{
-				Index: i, PowerW: smp.powerW, ClockMHz: smp.clockMHz,
-				SM: smp.sm, Mem: smp.mem, EnergyJ: smp.energyJ,
-			})
-		}
-		sort.Slice(bs.Last, func(i, j int) bool { return bs.Last[i].Index < bs.Last[j].Index })
-		st.Boards = append(st.Boards, bs)
-	}
 	return st
 }
 
@@ -117,10 +90,10 @@ func (s *Set) Restore(st *SetState) error {
 		return fmt.Errorf("faults: restore state for a nil set")
 	}
 	if len(st.Injectors) != len(s.injectors) || len(st.PCMs) != len(s.pcms) ||
-		len(st.Devices) != len(s.devices) || len(st.Boards) != len(s.boards) {
-		return fmt.Errorf("faults: restore shape %d/%d/%d/%d, set has %d/%d/%d/%d",
-			len(st.Injectors), len(st.PCMs), len(st.Devices), len(st.Boards),
-			len(s.injectors), len(s.pcms), len(s.devices), len(s.boards))
+		len(st.Devices) != len(s.devices) {
+		return fmt.Errorf("faults: restore shape %d/%d/%d, set has %d/%d/%d",
+			len(st.Injectors), len(st.PCMs), len(st.Devices),
+			len(s.injectors), len(s.pcms), len(s.devices))
 	}
 	for i, in := range s.injectors {
 		isp := st.Injectors[i]
@@ -141,16 +114,6 @@ func (s *Set) Restore(st *SetState) error {
 			d.stale[staleKey{cpu: e.CPU, reg: e.Reg}] = e.Val
 		}
 		d.lastLat = ds.LastLat
-	}
-	for i, b := range s.boards {
-		bs := st.Boards[i]
-		b.last = nil
-		for _, e := range bs.Last {
-			b.remember(e.Index, boardSample{
-				powerW: e.PowerW, clockMHz: e.ClockMHz,
-				sm: e.SM, mem: e.Mem, energyJ: e.EnergyJ,
-			})
-		}
 	}
 	return nil
 }

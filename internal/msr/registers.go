@@ -2,9 +2,8 @@
 // and the UPS baseline drive on real hardware. It provides the register
 // address map and bit-field encodings used by the paper (most
 // importantly MSR_UNCORE_RATIO_LIMIT 0x620 and the RAPL energy
-// counters), a thread-safe simulated register space with per-core and
-// per-package scoping, and an optional backend that talks to the real
-// /dev/cpu/*/msr character devices when present.
+// counters) and a thread-safe simulated register space with per-core
+// and per-package scoping.
 //
 // The uncore ratio-limit encoding follows the example in §4 of the
 // paper: `wrmsr -p 0 0x620 0x0F001200` sets the max ratio to 0x12 (18 ×

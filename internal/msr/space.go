@@ -69,8 +69,6 @@ type Space struct {
 	pkgRegs     []map[uint32]uint64 // per socket
 	coreRegs    []map[uint32]uint64 // per cpu
 
-	reads, writes uint64 // access counters for overhead accounting
-
 	// limGen counts writes (Write or Poke) to the software-controlled
 	// limit registers (UncoreRatioLimit, PkgPowerLimit). The node polls
 	// it lock-free every step and only re-reads and re-decodes the
@@ -134,7 +132,6 @@ func (s *Space) Read(cpu int, reg uint32) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.reads++
 	return bank[reg], nil
 }
 
@@ -153,7 +150,6 @@ func (s *Space) Write(cpu int, reg uint32, val uint64) error {
 	if err != nil {
 		return err
 	}
-	s.writes++
 	bank[reg] = val
 	if limitReg(reg) {
 		s.limGen.Add(1)
@@ -162,7 +158,7 @@ func (s *Space) Write(cpu int, reg uint32, val uint64) error {
 }
 
 // Poke sets a register from the hardware side, bypassing the read-only
-// check and access accounting. cpu selects the bank as in Read.
+// check. cpu selects the bank as in Read.
 func (s *Space) Poke(cpu int, reg uint32, val uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -182,7 +178,7 @@ func (s *Space) Poke(cpu int, reg uint32, val uint64) {
 // call without holding any lock.
 func (s *Space) LimitGen() uint64 { return s.limGen.Load() }
 
-// Peek reads a register from the hardware side without accounting.
+// Peek reads a register from the hardware side, bypassing FailReads.
 func (s *Space) Peek(cpu int, reg uint32) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -230,20 +226,6 @@ func (s *Space) BumpEnergy(cpu int, pkgDelta, dramDelta uint64) {
 	if dramDelta != 0 {
 		bank[DramEnergyStatus] = (bank[DramEnergyStatus] + dramDelta) & EnergyCounterMask
 	}
-}
-
-// AccessCounts returns cumulative successful Read and Write counts.
-func (s *Space) AccessCounts() (reads, writes uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reads, s.writes
-}
-
-// ResetAccessCounts zeroes the access counters.
-func (s *Space) ResetAccessCounts() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reads, s.writes = 0, 0
 }
 
 // FailReads injects err into all subsequent Read calls (nil clears).

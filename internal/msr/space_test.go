@@ -119,31 +119,6 @@ func TestFaultInjection(t *testing.T) {
 	}
 }
 
-func TestAccessCounts(t *testing.T) {
-	s := NewSpace(1, 4)
-	for cpu := 0; cpu < 4; cpu++ {
-		s.Read(cpu, FixedCtrInstRetired)
-		s.Read(cpu, FixedCtrCPUCycles)
-	}
-	s.Write(0, UncoreRatioLimit, 5)
-	r, w := s.AccessCounts()
-	if r != 8 || w != 1 {
-		t.Fatalf("counts = %d reads, %d writes", r, w)
-	}
-	// Pokes/Peeks and failed accesses are not counted.
-	s.Poke(0, PkgEnergyStatus, 1)
-	s.Peek(0, PkgEnergyStatus)
-	s.Read(99, UncoreRatioLimit)
-	r, w = s.AccessCounts()
-	if r != 8 || w != 1 {
-		t.Fatalf("counts after non-counting ops = %d, %d", r, w)
-	}
-	s.ResetAccessCounts()
-	if r, w = s.AccessCounts(); r != 0 || w != 0 {
-		t.Fatal("ResetAccessCounts did not zero")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	s := NewSpace(2, 8)
 	var wg sync.WaitGroup

@@ -23,8 +23,6 @@ type BankState struct {
 type SpaceState struct {
 	Pkg    []BankState // per socket
 	Core   []BankState // per logical CPU
-	Reads  uint64
-	Writes uint64
 	LimGen uint64
 }
 
@@ -37,16 +35,13 @@ func bankState(bank map[uint32]uint64) BankState {
 	return b
 }
 
-// State captures every register bank plus the access counters and the
-// limit-write generation.
+// State captures every register bank plus the limit-write generation.
 func (s *Space) State() SpaceState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := SpaceState{
 		Pkg:    make([]BankState, len(s.pkgRegs)),
 		Core:   make([]BankState, len(s.coreRegs)),
-		Reads:  s.reads,
-		Writes: s.writes,
 		LimGen: s.limGen.Load(),
 	}
 	for i, bank := range s.pkgRegs {
@@ -81,7 +76,6 @@ func (s *Space) Restore(st SpaceState) error {
 		}
 		s.coreRegs[i] = bank
 	}
-	s.reads, s.writes = st.Reads, st.Writes
 	s.limGen.Store(st.LimGen)
 	return nil
 }

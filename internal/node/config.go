@@ -2,7 +2,7 @@
 // sockets with independent core (DVFS) and uncore domains, DRAM, and
 // one or more GPU boards. The node exposes exactly the interfaces the
 // paper's runtime stack consumes — an MSR device (internal/msr), RAPL
-// energy counters, IMC traffic counters for PCM, and NVML-style GPU
+// energy counters, IMC traffic counters for PCM, and GPU board
 // readouts — so the MAGUS runtime and the UPS baseline drive the
 // simulated node with the same code paths they would use on hardware.
 //

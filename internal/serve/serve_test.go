@@ -388,6 +388,7 @@ func TestBadSpecs(t *testing.T) {
 		{Tenant: "t", Workload: "bfs", System: "cray"},
 		{Tenant: "t", Workload: "bfs", Governor: "turbo"},
 		{Tenant: "t", Workload: "bfs", Faults: "no-such-preset"},
+		{Tenant: "t", Workload: "bfs", Faults: "nvml-stale"},
 		{Tenant: "t", Workload: "bfs", PowerCapW: -5},
 	}
 	for i, sp := range cases {

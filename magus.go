@@ -3,7 +3,7 @@
 // runtime for heterogeneous CPU–GPU systems ("Minimizing Power Waste in
 // Heterogeneous Computing via Adaptive Uncore Scaling", SC '25),
 // together with the full simulated substrate it runs on — MSR register
-// files, RAPL/PCM/NVML-style monitoring, a calibrated node power and
+// files, RAPL/PCM-style monitoring, a calibrated node power and
 // performance model, the published workload suite, the UPScavenger
 // baseline, and a harness that regenerates every table and figure of
 // the paper's evaluation.

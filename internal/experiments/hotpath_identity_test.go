@@ -78,3 +78,14 @@ func TestHotPathIdentityTable2(t *testing.T) {
 	}
 	checkExperimentGolden(t, "table2.golden.json", res)
 }
+
+// TestHotPathIdentityNoiseStudy pins the PCM noise sweep (unet,
+// 2 repeats, seed 1) to its bytes, so a change to how noise reaches
+// the monitor cannot move a single reading.
+func TestHotPathIdentityNoiseStudy(t *testing.T) {
+	res, err := NoiseStudy("unet", Options{Repeats: 2, Seed: 1, Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExperimentGolden(t, "noise.golden.json", res)
+}

@@ -30,6 +30,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/spear-repro/magus/internal/core"
@@ -83,7 +84,7 @@ type Data struct {
 	Step          time.Duration
 	TraceInterval time.Duration
 	Horizon       time.Duration
-	ObsInterval   time.Duration
+	PCMNoise      float64
 	Faults        *faults.Plan
 	HasObs        bool
 
@@ -94,7 +95,10 @@ type Data struct {
 	FaultSet *faults.SetState
 	SysPCM   pcm.State
 	SockPCM  []pcm.State
-	RAPL     *rapl.State
+	// NoiseDraws is the position of the PCM noise stream the monitors
+	// share (0 when PCMNoise is 0).
+	NoiseDraws uint64
+	RAPL       *rapl.State
 
 	// Governor payload, discriminated by the concrete type behind
 	// GovName. Shadow carries the env's uncore-limit cache for
@@ -146,6 +150,12 @@ func (d *Data) Validate() error {
 	}
 	if govPayloads > 1 {
 		return fmt.Errorf("checkpoint: %d governor payloads set", govPayloads)
+	}
+	if !(d.PCMNoise >= 0) || math.IsInf(d.PCMNoise, 1) {
+		return fmt.Errorf("checkpoint: PCM noise amplitude %v is not a finite non-negative number", d.PCMNoise)
+	}
+	if d.PCMNoise == 0 && d.NoiseDraws != 0 {
+		return fmt.Errorf("checkpoint: %d PCM noise draws without a noise amplitude", d.NoiseDraws)
 	}
 	if d.Engine.Now < 0 || d.Engine.Now > d.Horizon {
 		return fmt.Errorf("checkpoint: clock %v outside [0, %v]", d.Engine.Now, d.Horizon)

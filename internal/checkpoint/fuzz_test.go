@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -100,6 +101,22 @@ func TestGoldenCheckpoint(t *testing.T) {
 	got.Traces, want.Traces = nil, nil
 	if got != want {
 		t.Fatalf("golden resume diverged:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestValidateRejectsBadNoise: a decoded blob is outside input, so a
+// PCM noise amplitude that no run could have been built with, or a
+// noise-stream position without an amplitude, must be refused.
+func TestValidateRejectsBadNoise(t *testing.T) {
+	for _, tc := range []struct {
+		amp   float64
+		draws uint64
+	}{{-0.1, 0}, {math.NaN(), 0}, {math.Inf(1), 0}, {0, 3}} {
+		d := goldenData(t)
+		d.PCMNoise, d.NoiseDraws = tc.amp, tc.draws
+		if err := d.Validate(); err == nil {
+			t.Errorf("PCMNoise %v with %d draws validated", tc.amp, tc.draws)
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"math/rand"
-
-	"github.com/spear-repro/magus/internal/harness"
-)
+import "github.com/spear-repro/magus/internal/harness"
 
 // NoisePoint is one amplitude of the robustness sweep.
 type NoisePoint struct {
@@ -28,27 +24,8 @@ type NoiseStudyResult struct {
 // NoiseAmplitudes is the default sweep grid.
 func NoiseAmplitudes() []float64 { return []float64{0, 0.05, 0.1, 0.2, 0.4} }
 
-// noiseFn returns a deterministic relative-noise transform.
-func noiseFn(amplitude float64, seed int64) func(float64) float64 {
-	if amplitude <= 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	return func(gbs float64) float64 {
-		return gbs * (1 + amplitude*(rng.Float64()*2-1))
-	}
-}
-
 // NoiseStudy runs MAGUS on app (Intel+A100) across the noise grid,
 // comparing each point against a clean-baseline default run.
-//
-// Each noisy repeat carries its own noise closure over its own
-// rand.Rand, seeded from that repeat's derived seed. (An earlier
-// version shared one closure across the repeats of an amplitude, so
-// repeat i's noise stream depended on how much stream repeat i-1 had
-// consumed — coupling that breaks the independent-cell contract the
-// parallel engine needs. Repeat 0 still sees the exact stream the old
-// code started with.)
 func NoiseStudy(app string, opt Options) (NoiseStudyResult, error) {
 	opt, err := opt.normalize()
 	if err != nil {
@@ -69,19 +46,9 @@ func NoiseStudy(app string, opt Options) (NoiseStudyResult, error) {
 	// per amplitude, all on one pool.
 	specs := harness.RepeatSpecs(cfg, prog, defaultFactory, reps,
 		harness.Options{Seed: opt.Seed, Obs: opt.Obs})
-	for _, amp := range amps {
-		a := amp
-		for i := 0; i < reps; i++ {
-			seed := opt.Seed + int64(i)*7919
-			specs = append(specs, harness.RunSpec{
-				Cfg: cfg, Prog: prog, Factory: magusFactoryFor(cfg.Name),
-				Opt: harness.Options{
-					Seed:     seed,
-					PCMNoise: noiseFn(a, seed*37+int64(a*1000)),
-					Obs:      opt.Obs,
-				},
-			})
-		}
+	for _, a := range amps {
+		specs = append(specs, harness.RepeatSpecs(cfg, prog, magusFactoryFor(cfg.Name), reps,
+			harness.Options{Seed: opt.Seed, PCMNoise: a, Obs: opt.Obs})...)
 	}
 	results, err := harness.RunBatch(specs, opt.Jobs)
 	if err != nil {

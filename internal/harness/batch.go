@@ -28,10 +28,7 @@ type RunSpec struct {
 // cell error cancels remaining cells and is returned.
 //
 // Pool metrics (magus_pool_*) are registered on the first non-nil
-// Opt.Obs registry found in specs. Callers whose specs share mutable
-// state across cells — e.g. a single Opt.PCMNoise closure over one
-// rand.Rand — must pass jobs=1 or derive independent state per spec;
-// RunRepeated does this automatically.
+// Opt.Obs registry found in specs.
 func RunBatch(specs []RunSpec, jobs int) ([]Result, error) {
 	var m *parallel.Metrics
 	for _, s := range specs {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,16 +82,24 @@ func TestRunRepeatedParallelMatchesSerial(t *testing.T) {
 	cfg := node.IntelA100()
 	prog, _ := workload.ByName("srad")
 	factory := func() governor.Governor { return core.New(core.DefaultConfig()) }
-	a, err := RunRepeated(cfg, prog, factory, 5, Options{Seed: 3, Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunRepeated(cfg, prog, factory, 5, Options{Seed: 3, Jobs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("RunRepeated jobs=8 diverges from jobs=1:\n%+v\n%+v", a, b)
+	var clean Result
+	for _, amp := range []float64{0, 0.2} {
+		a, err := RunRepeated(cfg, prog, factory, 5, Options{Seed: 3, PCMNoise: amp, Jobs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := RunRepeated(cfg, prog, factory, 5, Options{Seed: 3, PCMNoise: amp, Jobs: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Fatalf("PCMNoise %v: RunRepeated jobs=8 diverges from jobs=1:\n%+v\n%+v", amp, a, b)
+		}
+		if amp == 0 {
+			clean = a
+		} else if a == clean {
+			t.Fatalf("PCMNoise %v left the result equal to the clean run", amp)
+		}
 	}
 }
 
@@ -102,26 +109,6 @@ func TestRunBatchPropagatesError(t *testing.T) {
 	specs := RepeatSpecs(cfg, prog, defaultGov, 4, Options{Seed: 1, Horizon: time.Second})
 	if _, err := RunBatch(specs, 4); err == nil {
 		t.Fatal("horizon error not propagated from batch")
-	}
-}
-
-// TestRunRepeatedSerialisesSharedNoise: a PCMNoise closure typically
-// captures one rand.Rand; running it from several goroutines would be
-// a data race, so RunRepeated must force jobs=1 in that case.
-func TestRunRepeatedSerialisesSharedNoise(t *testing.T) {
-	cfg := node.IntelA100()
-	prog, _ := workload.ByName("bfs")
-	var active atomic.Int32
-	noise := func(gbs float64) float64 {
-		if active.Add(1) > 1 {
-			t.Error("PCMNoise invoked concurrently despite shared closure")
-		}
-		active.Add(-1)
-		return gbs
-	}
-	if _, err := RunRepeated(cfg, prog, defaultGov, 3,
-		Options{Seed: 1, Jobs: 8, PCMNoise: noise}); err != nil {
-		t.Fatal(err)
 	}
 }
 

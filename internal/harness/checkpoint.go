@@ -16,9 +16,8 @@ import (
 
 // Checkpoint captures the run's complete state at its current virtual
 // time. The run must still be in flight (a finished run has nothing to
-// resume), the program must come from the workload catalog (resume
-// rebuilds it by name), and runs carrying a PCMNoise closure are not
-// checkpointable — an arbitrary function cannot be serialised.
+// resume) and the program must come from the workload catalog (resume
+// rebuilds it by name).
 //
 // The returned data is self-contained: it can be encoded with
 // checkpoint.Encode, shipped, decoded and resumed any number of times;
@@ -27,9 +26,6 @@ import (
 func (s *Steppable) Checkpoint() (*checkpoint.Data, error) {
 	if s.done {
 		return nil, fmt.Errorf("harness: checkpoint of a finished run")
-	}
-	if s.opt.PCMNoise != nil {
-		return nil, fmt.Errorf("harness: runs with a PCMNoise closure are not checkpointable")
 	}
 	if s.mux != nil {
 		return nil, fmt.Errorf("harness: co-located runs are not checkpointable")
@@ -47,7 +43,7 @@ func (s *Steppable) Checkpoint() (*checkpoint.Data, error) {
 		Step:          s.opt.Step,
 		TraceInterval: s.opt.TraceInterval,
 		Horizon:       s.horizon,
-		ObsInterval:   s.opt.ObsInterval,
+		PCMNoise:      s.opt.PCMNoise,
 		Faults:        s.opt.Faults,
 		HasObs:        s.opt.Obs != nil,
 
@@ -59,6 +55,9 @@ func (s *Steppable) Checkpoint() (*checkpoint.Data, error) {
 	}
 	for _, m := range s.mons.sock {
 		d.SockPCM = append(d.SockPCM, m.State())
+	}
+	if s.mons.noise != nil {
+		d.NoiseDraws = s.mons.noise.Draws()
 	}
 	if s.env.RAPL != nil {
 		st := s.env.RAPL.State()
@@ -189,7 +188,7 @@ func Resume(d *checkpoint.Data, ro ResumeOptions) (*Steppable, error) {
 		Step:          d.Step,
 		TraceInterval: d.TraceInterval,
 		Horizon:       d.Horizon,
-		ObsInterval:   d.ObsInterval,
+		PCMNoise:      d.PCMNoise,
 		Faults:        d.Faults,
 		Obs:           ro.Obs,
 		Spans:         ro.Spans,
@@ -218,6 +217,9 @@ func Resume(d *checkpoint.Data, ro ResumeOptions) (*Steppable, error) {
 	}
 	for i, m := range st.mons.sock {
 		m.Restore(d.SockPCM[i])
+	}
+	if st.mons.noise != nil {
+		st.mons.noise.Restore(d.NoiseDraws)
 	}
 	if (st.env.RAPL == nil) != (d.RAPL == nil) {
 		return nil, fmt.Errorf("harness: resume RAPL presence mismatch (checkpoint %v, rebuilt %v)",

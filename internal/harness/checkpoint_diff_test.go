@@ -91,7 +91,9 @@ var diffGovernors = []struct {
 // events, telemetry traces and spans must be byte-identical to the
 // same run executed without interruption. Seeds, workloads, node
 // presets, fault presets, governors and the checkpoint time are all
-// drawn from a seeded RNG so every CI run exercises the same matrix.
+// drawn from a seeded RNG so every CI run exercises the same matrix;
+// the PCM noise amplitude comes from a second seeded RNG, so adding it
+// left the other draws unchanged.
 func TestCheckpointResumeDifferential(t *testing.T) {
 	configs := []func() node.Config{node.IntelA100, node.IntelCPUOnly, node.Intel4A100}
 	// A cross-section of the catalog: short programs across the signal
@@ -106,7 +108,11 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 	if testing.Short() {
 		trials = 4
 	}
+	// 0 = no noise; 1.5 lets readings clamp at 0.
+	amps := []float64{0, 0, 0.05, 0.2, 1.5}
+
 	rng := rand.New(rand.NewSource(20260807))
+	noiseRNG := rand.New(rand.NewSource(20261021))
 	for trial := 0; trial < trials; trial++ {
 		gov := diffGovernors[rng.Intn(len(diffGovernors))]
 		tc := diffTrial{
@@ -118,6 +124,7 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 			makeGov:  gov.make,
 		}
 		tc.withSpans = rng.Intn(2) == 0
+		tc.pcmNoise = amps[noiseRNG.Intn(len(amps))]
 		if rng.Intn(2) == 0 {
 			tc.traceInterval = 100 * time.Millisecond
 		}
@@ -127,8 +134,8 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 		frac := 0.1 + 0.8*rng.Float64()
 		tc.at = time.Duration(frac * float64(tc.prog.NominalDuration()))
 
-		label := fmt.Sprintf("trial%d/%s/%s/%s/faults=%q/obs=%v/spans=%v/at=%v",
-			trial, tc.cfg.Name, tc.prog.Name, gov.name, tc.planName, tc.withObs, tc.withSpans, tc.at)
+		label := fmt.Sprintf("trial%d/%s/%s/%s/faults=%q/noise=%v/obs=%v/spans=%v/at=%v",
+			trial, tc.cfg.Name, tc.prog.Name, gov.name, tc.planName, tc.pcmNoise, tc.withObs, tc.withSpans, tc.at)
 		t.Run(label, func(t *testing.T) { tc.run(t, label) })
 	}
 
@@ -140,6 +147,28 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 		makeGov: func() governor.Governor { return governor.WithPowerCap(core.New(core.DefaultConfig()), 400) },
 	}
 	t.Run("capped-magus", func(t *testing.T) { capped.run(t, "capped-magus") })
+
+	// A noisy run checkpoints like any other: the checkpoint carries the
+	// amplitude and the position of the shared noise stream.
+	noisy := diffTrial{
+		cfg: node.IntelA100(), prog: mustProg(t, "unet"), seed: 7, pcmNoise: 0.2,
+		withObs: true, withSpans: true, traceInterval: 100 * time.Millisecond, at: 5 * time.Second,
+		makeGov: diffGovernors[0].make,
+	}
+	t.Run("noisy-magus", func(t *testing.T) {
+		noisy.run(t, "noisy-magus")
+		clean, err := Run(noisy.cfg, noisy.prog, noisy.makeGov(), Options{Seed: noisy.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loud, err := Run(noisy.cfg, noisy.prog, noisy.makeGov(), Options{Seed: noisy.seed, PCMNoise: noisy.pcmNoise})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if clean == loud {
+			t.Fatal("PCMNoise 0.2 left the result equal to the clean run")
+		}
+	})
 }
 
 // diffTrial is one cell of the checkpoint/resume differential.
@@ -148,6 +177,7 @@ type diffTrial struct {
 	prog               *workload.Program
 	planName           string
 	seed               int64
+	pcmNoise           float64
 	withObs, withSpans bool
 	traceInterval      time.Duration
 	at                 time.Duration
@@ -158,7 +188,7 @@ type diffTrial struct {
 // and resuming to completion reproduces the uninterrupted run's bytes.
 func (tc diffTrial) run(t *testing.T, label string) {
 	newOpts := func() (Options, *obs.Observer, *bytes.Buffer, *spans.Tracer) {
-		opt := Options{Seed: tc.seed, TraceInterval: tc.traceInterval}
+		opt := Options{Seed: tc.seed, TraceInterval: tc.traceInterval, PCMNoise: tc.pcmNoise}
 		if tc.planName != "" {
 			plan, ok := faults.Preset(tc.planName)
 			if !ok {
@@ -341,8 +371,8 @@ func TestCheckpointChunkedRagged(t *testing.T) {
 	compareArtifacts(t, "chained", got, want)
 }
 
-// TestCheckpointErrors pins the refusal paths: finished runs, noise
-// closures and mismatched resume options must error loudly instead of
+// TestCheckpointErrors pins the refusal paths: finished runs,
+// non-catalog programs and mismatched resume options must error loudly instead of
 // producing a silently wrong run.
 func TestCheckpointErrors(t *testing.T) {
 	cfg := node.IntelA100()
@@ -360,21 +390,6 @@ func TestCheckpointErrors(t *testing.T) {
 		}
 		if _, err := st.Checkpoint(); err == nil {
 			t.Fatal("checkpoint of a finished run succeeded")
-		}
-	})
-
-	t.Run("noise-closure", func(t *testing.T) {
-		st, err := NewSteppable(cfg, prog, governor.NewDefault(), Options{
-			Seed: 1, PCMNoise: func(g float64) float64 { return g },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.Advance(time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.Checkpoint(); err == nil {
-			t.Fatal("checkpoint with a PCMNoise closure succeeded")
 		}
 	})
 

@@ -40,10 +40,11 @@ type Options struct {
 	TraceInterval time.Duration
 	// Horizon bounds the run (0 = 4× nominal duration + 10 s).
 	Horizon time.Duration
-	// PCMNoise, when set, is installed as the measurement-noise
-	// transform on every PCM monitor the governor sees — robustness
-	// studies and failure injection.
-	PCMNoise func(gbs float64) float64
+	// PCMNoise is the relative amplitude A of the measurement noise on
+	// every PCM monitor the governor sees: each reading is scaled by a
+	// factor drawn from [1-A, 1+A] out of one stream seeded from Seed
+	// and A (0 = no noise).
+	PCMNoise float64
 	// Faults arms a deterministic fault schedule against the node's
 	// telemetry devices (nil/empty = no injection, bit-identical to the
 	// unfaulted path).
@@ -53,9 +54,6 @@ type Options struct {
 	// so an observed run produces bit-identical traces and Stats() to
 	// an unobserved one (nil = no observability, zero overhead).
 	Obs *obs.Observer
-	// ObsInterval is the metrics sampling period when Obs is set
-	// (0 = DefaultObsInterval, 100 ms).
-	ObsInterval time.Duration
 	// Jobs bounds the worker pool RunRepeated fans repeats across
 	// (<= 0 = GOMAXPROCS). Results are byte-identical for any value.
 	Jobs int
@@ -145,11 +143,12 @@ func BuildFaultyEnv(n *node.Node, fset *faults.Set) (*governor.Env, error) {
 }
 
 // envMonitors exposes the concrete PCM monitors underneath the fault
-// wrappers, so the checkpoint layer can capture and restore their
-// sampling baselines directly.
+// wrappers and the noise stream they share, so the checkpoint layer can
+// capture and restore their sampling baselines directly.
 type envMonitors struct {
-	sys  *pcm.Monitor
-	sock []*pcm.Monitor
+	sys   *pcm.Monitor
+	sock  []*pcm.Monitor
+	noise *pcm.Noise // nil for a noise-free run
 }
 
 // buildEnv is BuildEnv plus an optional fault-wrapper set and PCM
@@ -157,7 +156,7 @@ type envMonitors struct {
 // is constructed over it, so rapl-target faults reach the energy
 // counters; noise applies to the concrete monitors before fault
 // wrapping, so an injected stale/wild value is never re-noised.
-func buildEnv(n *node.Node, fset *faults.Set, noise func(gbs float64) float64) (*governor.Env, *envMonitors, error) {
+func buildEnv(n *node.Node, fset *faults.Set, noise *pcm.Noise) (*governor.Env, *envMonitors, error) {
 	cfg := n.Config()
 	dev := fset.WrapDevice(n.MSRDevice())
 	raplReader, err := rapl.New(dev, cfg.Sockets, n.Space().FirstCPUOf)
@@ -170,17 +169,13 @@ func buildEnv(n *node.Node, fset *faults.Set, noise func(gbs float64) float64) (
 		raplReader = nil
 	}
 	mon := pcm.New(n.ServedGB)
-	if noise != nil {
-		mon.SetNoise(noise)
-	}
-	mons := &envMonitors{sys: mon}
+	mon.SetNoise(noise)
+	mons := &envMonitors{sys: mon, noise: noise}
 	sockPCM := make([]pcm.Reader, cfg.Sockets)
 	for s := 0; s < cfg.Sockets; s++ {
 		sock := s
 		m := pcm.New(func() float64 { return n.ServedGBSocket(sock) })
-		if noise != nil {
-			m.SetNoise(noise)
-		}
+		m.SetNoise(noise)
 		mons.sock = append(mons.sock, m)
 		sockPCM[s] = fset.WrapPCM(m)
 	}
@@ -255,16 +250,9 @@ func Compare(base, x Result) Comparison {
 // outlier-trimmed mean of every metric (§6's methodology). Repeats fan
 // out across opt.Jobs workers; because each repeat is an independent
 // deterministic cell, the aggregate is byte-identical for any jobs
-// value. A shared PCMNoise closure would be mutated from several
-// goroutines at once, so runs carrying one are forced serial — callers
-// wanting parallel noisy repeats must build per-repeat closures and go
-// through RunBatch directly.
+// value.
 func RunRepeated(cfg node.Config, prog *workload.Program, factory GovernorFactory, reps int, opt Options) (Result, error) {
-	jobs := opt.Jobs
-	if opt.PCMNoise != nil {
-		jobs = 1
-	}
-	results, err := RunBatch(RepeatSpecs(cfg, prog, factory, reps, opt), jobs)
+	results, err := RunBatch(RepeatSpecs(cfg, prog, factory, reps, opt), opt.Jobs)
 	if err != nil {
 		return Result{}, err
 	}

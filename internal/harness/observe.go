@@ -12,7 +12,7 @@ import (
 )
 
 // DefaultObsInterval is the metrics sampling period when Options.Obs
-// is set and Options.ObsInterval is zero.
+// is set.
 const DefaultObsInterval = 100 * time.Millisecond
 
 // govCounters is the architecture-neutral snapshot of a governor's
@@ -44,12 +44,11 @@ func (d *counterDelta) update(c govCounters) {
 // everything it does is read-only with respect to the simulation, so
 // an observed run stays bit-identical to an unobserved one.
 type runObserver struct {
-	o        *obs.Observer
-	n        *node.Node
-	poll     func() govCounters // nil when the governor exposes no counters
-	health   bool               // the governor reports sensor health
-	interval time.Duration
-	next     time.Duration
+	o      *obs.Observer
+	n      *node.Node
+	poll   func() govCounters // nil when the governor exposes no counters
+	health bool               // the governor reports sensor health
+	next   time.Duration
 
 	steps    *obs.Counter
 	simTime  *obs.Gauge
@@ -85,10 +84,6 @@ type runObserver struct {
 // run_start event.
 func installObservability(opt Options, n *node.Node, gs GovernorSurfaces, govName, wname string, resuming bool) *runObserver {
 	o, cfg := opt.Obs, n.Config()
-	interval := opt.ObsInterval
-	if interval <= 0 {
-		interval = DefaultObsInterval
-	}
 	reg := o.Registry()
 	reg.Counter("magus_runs_total", "Observed harness runs started.").Inc()
 	reg.GaugeVec("magus_run_info", "Run identity (constant 1, labels carry the identity).",
@@ -96,7 +91,7 @@ func installObservability(opt Options, n *node.Node, gs GovernorSurfaces, govNam
 		With(cfg.Name, wname, govName).Set(1)
 
 	ro := &runObserver{
-		o: o, n: n, poll: gs.poll, health: gs.Health != nil, interval: interval,
+		o: o, n: n, poll: gs.poll, health: gs.Health != nil,
 
 		steps:   reg.Counter("magus_sim_steps_total", "Engine steps observed by the run."),
 		simTime: reg.Gauge("magus_sim_time_seconds", "Virtual time of the run in seconds."),
@@ -200,7 +195,7 @@ func (ro *runObserver) due(now time.Duration) bool {
 	if now < ro.next {
 		return false
 	}
-	ro.next = now + ro.interval
+	ro.next = now + DefaultObsInterval
 	return true
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/spear-repro/magus/internal/attrib"
@@ -9,6 +10,7 @@ import (
 	"github.com/spear-repro/magus/internal/flight"
 	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/node"
+	"github.com/spear-repro/magus/internal/pcm"
 	"github.com/spear-repro/magus/internal/sim"
 	"github.com/spear-repro/magus/internal/telemetry"
 	"github.com/spear-repro/magus/internal/workload"
@@ -74,6 +76,9 @@ func NewSteppable(cfg node.Config, prog *workload.Program, gov governor.Governor
 // suppresses the run_start event, since the original run already
 // emitted it into the caller's event stream.
 func newSteppable(cfg node.Config, prog *workload.Program, gov governor.Governor, opt Options, resuming bool) (*Steppable, error) {
+	if !(opt.PCMNoise >= 0) || math.IsInf(opt.PCMNoise, 1) {
+		return nil, fmt.Errorf("harness: PCM noise amplitude %v is not a finite non-negative number", opt.PCMNoise)
+	}
 	eng := sim.NewEngine(opt.Step)
 	n := node.New(cfg)
 
@@ -121,7 +126,11 @@ func newSteppable(cfg node.Config, prog *workload.Program, gov governor.Governor
 		}
 		fset = faults.NewSet(opt.Faults, eng.Clock().Now)
 	}
-	env, mons, err := buildEnv(n, fset, opt.PCMNoise)
+	var noise *pcm.Noise
+	if opt.PCMNoise > 0 {
+		noise = pcm.NewNoise(opt.PCMNoise, opt.Seed*37+int64(opt.PCMNoise*1000))
+	}
+	env, mons, err := buildEnv(n, fset, noise)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -115,6 +116,17 @@ func TestSteppableHorizon(t *testing.T) {
 	}
 	if st.Done() {
 		t.Fatal("horizon-stuck run reports Done")
+	}
+}
+
+// TestSteppableRejectsBadNoise: a PCM noise amplitude must be a
+// finite non-negative number.
+func TestSteppableRejectsBadNoise(t *testing.T) {
+	prog := mustProg(t, "bfs")
+	for _, amp := range []float64{-0.1, math.NaN(), math.Inf(1)} {
+		if _, err := NewSteppable(node.IntelA100(), prog, governor.NewDefault(), Options{Seed: 1, PCMNoise: amp}); err == nil {
+			t.Errorf("PCMNoise %v accepted", amp)
+		}
 	}
 }
 

@@ -6,12 +6,16 @@
 //
 // The monitor computes throughput as the traffic-counter delta over the
 // elapsed interval, exactly as PCM's uncore counter facility does. An
-// optional noise hook lets tests inject measurement jitter.
+// optional seeded noise stream perturbs the readings for robustness
+// studies.
 package pcm
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
+
+	"github.com/spear-repro/magus/internal/detrand"
 )
 
 // Reader is the throughput read surface governors consume. *Monitor
@@ -29,7 +33,7 @@ type TrafficCounter func() float64
 // Monitor converts a traffic counter into interval throughput readings.
 type Monitor struct {
 	counter TrafficCounter
-	noise   func(gbs float64) float64
+	noise   *Noise
 
 	lastGB  float64
 	lastAt  time.Duration
@@ -46,9 +50,35 @@ func New(counter TrafficCounter) *Monitor {
 	return &Monitor{counter: counter}
 }
 
-// SetNoise installs a measurement-noise transform applied to every
-// reading (nil clears). Used for failure-injection tests.
-func (m *Monitor) SetNoise(fn func(gbs float64) float64) { m.noise = fn }
+// Noise is a seeded relative measurement-noise stream: each reading it
+// perturbs is scaled by a factor drawn uniformly from [1-A, 1+A].
+// Several monitors may share one stream; its position is the draw
+// count of a counting source, so a checkpoint can capture and restore
+// it.
+type Noise struct {
+	amp float64
+	src *detrand.Source
+	rng *rand.Rand
+}
+
+// NewNoise builds the amplitude-amp stream seeded with seed.
+func NewNoise(amp float64, seed int64) *Noise {
+	src := detrand.NewSource(seed)
+	return &Noise{amp: amp, src: src, rng: rand.New(src)}
+}
+
+// Draws returns the stream position.
+func (z *Noise) Draws() uint64 { return z.src.Draws() }
+
+// Restore moves the stream to position draws.
+func (z *Noise) Restore(draws uint64) { z.src.Restore(z.src.Seed0(), draws) }
+
+func (z *Noise) apply(gbs float64) float64 {
+	return gbs * (1 + z.amp*(z.rng.Float64()*2-1))
+}
+
+// SetNoise perturbs every subsequent reading with z (nil clears).
+func (m *Monitor) SetNoise(z *Noise) { m.noise = z }
 
 // Invocations returns how many throughput readings were taken —
 // overhead accounting for Table 2.
@@ -74,7 +104,7 @@ func (m *Monitor) SystemMemoryThroughput(now time.Duration) (float64, error) {
 	}
 	gbs := (cur - m.lastGB) / (now - m.lastAt).Seconds()
 	if m.noise != nil {
-		gbs = m.noise(gbs)
+		gbs = m.noise.apply(gbs)
 		if gbs < 0 {
 			gbs = 0
 		}

@@ -1,6 +1,7 @@
 package pcm
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -55,23 +56,52 @@ func TestBackwardsCounterErrors(t *testing.T) {
 }
 
 func TestNoiseInjection(t *testing.T) {
+	// Amplitude 3 scales by a factor in [-2, 4], so some readings
+	// must clamp to 0 and the rest follow the seeded stream exactly.
+	const amp, seed = 3.0, 11
+	ref := rand.New(rand.NewSource(seed))
 	var served float64
 	m := New(func() float64 { return served })
-	m.SetNoise(func(gbs float64) float64 { return gbs - 1000 })
+	z := NewNoise(amp, seed)
+	m.SetNoise(z)
 	m.SystemMemoryThroughput(0)
-	served = 10
-	gbs, err := m.SystemMemoryThroughput(time.Second)
-	if err != nil {
-		t.Fatal(err)
+	clamped := 0
+	for i := 1; i <= 50; i++ {
+		served += 10
+		gbs, err := m.SystemMemoryThroughput(time.Duration(i) * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 10 * (1 + amp*(ref.Float64()*2-1))
+		if want < 0 {
+			want = 0
+			clamped++
+		}
+		if gbs != want {
+			t.Fatalf("reading %d = %v, want %v", i, gbs, want)
+		}
 	}
-	if gbs != 0 {
-		t.Fatalf("noisy reading = %v, want clamped to 0", gbs)
+	if clamped == 0 {
+		t.Fatal("no reading was clamped to 0")
 	}
-	m.SetNoise(func(gbs float64) float64 { return gbs * 2 })
-	served = 20
-	gbs, _ = m.SystemMemoryThroughput(2 * time.Second)
-	if gbs != 20 {
-		t.Fatalf("scaled reading = %v, want 20", gbs)
+	if z.Draws() != 50 {
+		t.Fatalf("draws = %d, want one per reading (50)", z.Draws())
+	}
+
+	// A restored stream continues where the original stood.
+	next := 10 * (1 + amp*(ref.Float64()*2-1))
+	r := NewNoise(amp, seed)
+	r.Restore(z.Draws())
+	m.SetNoise(r)
+	served += 10
+	if gbs, _ := m.SystemMemoryThroughput(51 * time.Second); gbs != max(next, 0) {
+		t.Fatalf("reading after restore = %v, want %v", gbs, max(next, 0))
+	}
+
+	m.SetNoise(nil)
+	served += 10
+	if gbs, _ := m.SystemMemoryThroughput(52 * time.Second); gbs != 10 {
+		t.Fatalf("clean reading = %v, want 10", gbs)
 	}
 }
 

@@ -2,8 +2,9 @@ package pcm
 
 import "time"
 
-// State is a monitor's mutable state. The traffic counter and noise
-// hook are construction inputs, not state.
+// State is a monitor's mutable state. The traffic counter is a
+// construction input, and a shared noise stream carries its own
+// position (Noise.Draws).
 type State struct {
 	LastGB      float64
 	LastAt      time.Duration

@@ -46,8 +46,8 @@ const (
 // (Prometheus text exposition format 0.0.4).
 const MetricsContentType = obs.ExpositionContentType
 
-// DefaultObsInterval is the default metrics sampling interval
-// (Options.ObsInterval = 0 selects it).
+// DefaultObsInterval is the metrics sampling interval of an observed
+// run.
 const DefaultObsInterval = harness.DefaultObsInterval
 
 // NewMetricsRegistry returns an empty registry.

@@ -61,6 +61,7 @@ type DUF struct {
 	health *resilient.Tracker
 
 	invocations uint64
+	msrWrites   uint64
 }
 
 // NewDUF builds a DUF governor (zero-value fields take defaults).
@@ -102,6 +103,10 @@ func (d *DUF) CurrentMaxGHz() float64 { return d.cur }
 // Invocations returns the decision-cycle count.
 func (d *DUF) Invocations() uint64 { return d.invocations }
 
+// MSRWrites returns the uncore-limit MSR writes performed, one per
+// socket per limit change (the attach write included).
+func (d *DUF) MSRWrites() uint64 { return d.msrWrites }
+
 // Attach implements Governor.
 func (d *DUF) Attach(env *Env) error {
 	if err := env.Validate(); err != nil {
@@ -113,7 +118,11 @@ func (d *DUF) Attach(env *Env) error {
 	d.haveCtrs = false
 	d.health = resilient.NewTracker(0)
 	d.lastInst = make([]uint64, env.CPUs)
-	return env.SetUncoreMax(d.cur)
+	if err := env.SetUncoreMax(d.cur); err != nil {
+		return err
+	}
+	d.msrWrites += uint64(env.Sockets)
+	return nil
 }
 
 // SensorHealth reports the sensing path's health state.
@@ -158,20 +167,10 @@ func (d *DUF) Invoke(now time.Duration) time.Duration {
 }
 
 func (d *DUF) set(ghz float64) {
-	if ghz < d.env.UncoreMinGHz {
-		ghz = d.env.UncoreMinGHz
+	var wrote bool
+	if d.cur, wrote = d.env.moveUncore(d.cur, ghz); wrote {
+		d.msrWrites += uint64(d.env.Sockets)
 	}
-	if ghz > d.env.UncoreMaxGHz {
-		ghz = d.env.UncoreMaxGHz
-	}
-	ghz = msr.RatioToHz(msr.HzToRatio(ghz*1e9)) / 1e9
-	if ghz == d.cur {
-		return
-	}
-	if err := d.env.SetUncoreMax(ghz); err != nil {
-		return
-	}
-	d.cur = ghz
 }
 
 // miss records a cycle whose counter sweep sensed nothing: hold the

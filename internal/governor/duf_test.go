@@ -103,3 +103,38 @@ func TestDUFEndToEnd(t *testing.T) {
 		t.Fatalf("invocations = %d", d.Invocations())
 	}
 }
+
+// writeCounter counts uncore-limit writes that reach the device.
+type writeCounter struct {
+	msr.Device
+	writes uint64
+}
+
+func (w *writeCounter) Write(cpu int, reg uint32, val uint64) error {
+	if reg == msr.UncoreRatioLimit {
+		w.writes++
+	}
+	return w.Device.Write(cpu, reg, val)
+}
+
+// TestDUFCountsMSRWrites: DUF's write counter matches the uncore-limit
+// writes that reached the device, the attach write included.
+func TestDUFCountsMSRWrites(t *testing.T) {
+	s, env := testEnv(t)
+	dev := &writeCounter{Device: env.Dev}
+	env.Dev = dev
+	h := &dufHarness{s: s, duf: NewDUF(DUFConfig{})}
+	if err := h.duf.Attach(env); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		h.cycle(1_000_000)
+	}
+	h.cycle(800_000) // back off: a write upward
+	if dev.writes <= uint64(env.Sockets) {
+		t.Fatalf("only %d device writes; DUF never moved the limit", dev.writes)
+	}
+	if got := h.duf.MSRWrites(); got != dev.writes {
+		t.Fatalf("MSRWrites = %d, device saw %d", got, dev.writes)
+	}
+}

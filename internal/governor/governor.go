@@ -98,6 +98,19 @@ func (e *Env) SetUncoreMax(ghz float64) error {
 	return nil
 }
 
+// moveUncore clamps ghz to the uncore range, quantises it to the MSR's
+// 100 MHz ratio granularity and, when that differs from cur, writes it
+// as the uncore limit. It returns the limit in force and whether it
+// wrote; a failed write leaves cur in force, to retry next cycle.
+func (e *Env) moveUncore(cur, ghz float64) (float64, bool) {
+	ghz = min(max(ghz, e.UncoreMinGHz), e.UncoreMaxGHz)
+	ghz = msr.RatioToHz(msr.HzToRatio(ghz*1e9)) / 1e9
+	if ghz == cur || e.SetUncoreMax(ghz) != nil {
+		return cur, false
+	}
+	return ghz, true
+}
+
 // Governor is one uncore frequency-scaling policy attached to a node
 // for the lifetime of an application run.
 type Governor interface {

@@ -3,8 +3,6 @@ package governor
 import (
 	"fmt"
 	"time"
-
-	"github.com/spear-repro/magus/internal/msr"
 )
 
 // ModelBasedConfig parameterises the model-based comparator.
@@ -126,13 +124,4 @@ func (g *ModelBased) Invoke(now time.Duration) time.Duration {
 	return 0
 }
 
-func (g *ModelBased) set(ghz float64) {
-	ghz = msr.RatioToHz(msr.HzToRatio(ghz*1e9)) / 1e9
-	if ghz == g.cur {
-		return
-	}
-	if err := g.env.SetUncoreMax(ghz); err != nil {
-		return
-	}
-	g.cur = ghz
-}
+func (g *ModelBased) set(ghz float64) { g.cur, _ = g.env.moveUncore(g.cur, ghz) }

@@ -133,6 +133,7 @@ type DUFState struct {
 	Health resilient.TrackerState
 
 	Invocations uint64
+	MSRWrites   uint64
 
 	Shadow []ShadowEntry
 }
@@ -147,6 +148,7 @@ func (d *DUF) State() DUFState {
 		HaveCtrs:    d.haveCtrs,
 		Health:      d.health.State(),
 		Invocations: d.invocations,
+		MSRWrites:   d.msrWrites,
 		Shadow:      d.env.ShadowState(),
 	}
 }
@@ -167,6 +169,7 @@ func (d *DUF) Restore(st DUFState) error {
 	d.haveCtrs = st.HaveCtrs
 	d.health.Restore(st.Health)
 	d.invocations = st.Invocations
+	d.msrWrites = st.MSRWrites
 	d.env.RestoreShadow(st.Shadow)
 	return nil
 }

@@ -255,24 +255,12 @@ func (u *UPS) Invoke(now time.Duration) time.Duration {
 	return 0
 }
 
-// setUncore clamps to the hardware range, quantises to the MSR's
-// 100 MHz ratio granularity and writes the uncore limit.
+// setUncore moves the uncore limit toward ghz, counting the writes.
 func (u *UPS) setUncore(ghz float64) {
-	if ghz < u.env.UncoreMinGHz {
-		ghz = u.env.UncoreMinGHz
+	var wrote bool
+	if u.cur, wrote = u.env.moveUncore(u.cur, ghz); wrote {
+		u.msrWrites += uint64(u.env.Sockets)
 	}
-	if ghz > u.env.UncoreMaxGHz {
-		ghz = u.env.UncoreMaxGHz
-	}
-	ghz = msr.RatioToHz(msr.HzToRatio(ghz*1e9)) / 1e9
-	if ghz == u.cur {
-		return
-	}
-	if err := u.env.SetUncoreMax(ghz); err != nil {
-		return // leave cur unchanged; retry next cycle
-	}
-	u.msrWrites += uint64(u.env.Sockets)
-	u.cur = ghz
 }
 
 // miss records a cycle whose sensing path produced nothing usable. The

@@ -10,12 +10,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/spear-repro/magus/internal/core"
 	"github.com/spear-repro/magus/internal/faults"
+	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/obs"
 	"github.com/spear-repro/magus/internal/report"
@@ -161,6 +163,33 @@ func TestObservedRunBitIdentical(t *testing.T) {
 	}
 	if events.Len() == 0 {
 		t.Fatal("observed run emitted no events")
+	}
+}
+
+// TestObservedBaselinesReportMSRWrites: every baseline that moves the
+// uncore limit reports its MSR writes. DUF moves the limit almost every
+// cycle on srad, so its write counter must pass the attach write.
+func TestObservedBaselinesReportMSRWrites(t *testing.T) {
+	cfg := node.IntelA100()
+	prog, _ := workload.ByName("srad")
+	for _, gov := range []governor.Governor{
+		governor.NewUPS(governor.DefaultUPSConfig()),
+		governor.NewDUF(governor.DefaultDUFConfig()),
+	} {
+		o := obs.New(obs.NewRegistry(), nil)
+		if _, err := Run(cfg, prog, gov, Options{Seed: 1, Obs: o}); err != nil {
+			t.Fatal(err)
+		}
+		var writes float64
+		for _, line := range strings.Split(o.Registry().Text(), "\n") {
+			if v, ok := strings.CutPrefix(line, "magus_msr_writes_total "); ok {
+				writes, _ = strconv.ParseFloat(v, 64)
+			}
+		}
+		if writes <= float64(cfg.Sockets) {
+			t.Errorf("%s: magus_msr_writes_total = %v, want more than the %d attach writes",
+				gov.Name(), writes, cfg.Sockets)
+		}
 	}
 }
 

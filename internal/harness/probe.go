@@ -56,7 +56,11 @@ func LookupGovernor(gov governor.Governor) GovernorSurfaces {
 			return c
 		}
 	case *governor.DUF:
-		gs.poll = func() govCounters { return resilienceCounters(g.Invocations(), g.Resilience()) }
+		gs.poll = func() govCounters {
+			c := resilienceCounters(g.Invocations(), g.Resilience())
+			c.MSRWrites = g.MSRWrites()
+			return c
+		}
 	}
 	return gs
 }

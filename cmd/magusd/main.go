@@ -111,8 +111,9 @@ func main() {
 		}
 	}
 
-	gov, rt, err := buildGovernor(*govName, cfg)
+	gov, err := magus.GovernorByName(*govName, cfg)
 	fatalIf(err)
+	rt, _ := gov.(*magus.Runtime)
 	if *capW > 0 {
 		gov = magus.WithPowerCap(gov, *capW)
 	}
@@ -278,27 +279,6 @@ func main() {
 			fatalIf(err)
 		}
 	}
-}
-
-// buildGovernor maps a name to a governor; the second return value is
-// non-nil when the governor is a MAGUS runtime (for stats/tracing).
-func buildGovernor(name string, cfg magus.NodeConfig) (magus.Governor, *magus.Runtime, error) {
-	switch name {
-	case "magus":
-		rt := magus.NewRuntime(magus.DefaultConfig())
-		return rt, rt, nil
-	case "ups":
-		return magus.NewUPS(magus.UPSConfig{}), nil, nil
-	case "duf":
-		return magus.NewDUF(magus.DUFConfig{}), nil, nil
-	case "default":
-		return magus.NewDefaultGovernor(), nil, nil
-	case "max":
-		return magus.NewStaticGovernor(cfg.UncoreMaxGHz), nil, nil
-	case "min":
-		return magus.NewStaticGovernor(cfg.UncoreMinGHz), nil, nil
-	}
-	return nil, nil, fmt.Errorf("unknown governor %q", name)
 }
 
 func fatalIf(err error) {

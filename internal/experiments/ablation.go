@@ -67,7 +67,7 @@ func ablationVariants(system string) (names []string, factories []harness.Govern
 	warmMax := base
 	warmMax.WarmupAtMax = true
 
-	cfg, _ := SystemByName(system)
+	cfg, _ := harness.SystemByName(system)
 	bwModel := func(ghz float64) float64 {
 		return float64(cfg.Sockets) * cfg.BWAt(ghz)
 	}
@@ -103,7 +103,7 @@ func Ablation(opt Options) (AblationResult, error) {
 	if err != nil {
 		return AblationResult{}, err
 	}
-	cfg, err := SystemByName("Intel+A100")
+	cfg, err := harness.SystemByName("Intel+A100")
 	if err != nil {
 		return AblationResult{}, err
 	}

@@ -15,7 +15,6 @@ import (
 	"github.com/spear-repro/magus/internal/core"
 	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/harness"
-	"github.com/spear-repro/magus/internal/hsmp"
 	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/obs"
 	"github.com/spear-repro/magus/internal/workload"
@@ -58,23 +57,6 @@ func Quick() Options { return Options{Repeats: 1, Seed: 1} }
 
 // Paper returns the paper's methodology (≥5 repeats, outlier-trimmed).
 func Paper() Options { return Options{Repeats: 5, Seed: 1} }
-
-// SystemByName maps the paper's system names to node presets.
-func SystemByName(name string) (node.Config, error) {
-	switch name {
-	case "Intel+A100", "a100":
-		return node.IntelA100(), nil
-	case "Intel+4A100", "4a100":
-		return node.Intel4A100(), nil
-	case "Intel+Max1550", "max1550":
-		return node.IntelMax1550(), nil
-	case "Intel CPU-only", "cpuonly":
-		return node.IntelCPUOnly(), nil
-	case "AMD+MI250", "amd":
-		return hsmp.AMDEpycMI250(), nil
-	}
-	return node.Config{}, fmt.Errorf("experiments: unknown system %q", name)
-}
 
 // Invocation power costs differ by CPU architecture: per-core MSR
 // sweeps and PCM uncore reads wake more of the mesh on Sapphire Rapids
@@ -200,7 +182,7 @@ func Figure4(system string, opt Options) (Figure4Result, error) {
 	if err != nil {
 		return Figure4Result{}, err
 	}
-	cfg, err := SystemByName(system)
+	cfg, err := harness.SystemByName(system)
 	if err != nil {
 		return Figure4Result{}, err
 	}

@@ -353,17 +353,6 @@ func TestTable2Overheads(t *testing.T) {
 	}
 }
 
-func TestSystemByName(t *testing.T) {
-	for _, name := range []string{"Intel+A100", "a100", "Intel+4A100", "4a100", "Intel+Max1550", "max1550"} {
-		if _, err := SystemByName(name); err != nil {
-			t.Errorf("SystemByName(%q): %v", name, err)
-		}
-	}
-	if _, err := SystemByName("epyc"); err == nil {
-		t.Error("unknown system accepted")
-	}
-}
-
 func TestFigure7SecondApplication(t *testing.T) {
 	// The paper presents the sweep for two applications; unet is the
 	// epoch-structured case.

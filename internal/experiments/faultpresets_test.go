@@ -28,7 +28,7 @@ func TestEveryPresetReachesAReader(t *testing.T) {
 		"chaos":       "magus",
 		"rapl-outage": "ups",
 	}
-	cfg, err := SystemByName("Intel+A100")
+	cfg, err := harness.SystemByName("Intel+A100")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func FaultSweep(app string, plans []string, opt Options) (FaultSweepResult, erro
 	if err != nil {
 		return FaultSweepResult{}, err
 	}
-	cfg, err := SystemByName("Intel+A100")
+	cfg, err := harness.SystemByName("Intel+A100")
 	if err != nil {
 		return FaultSweepResult{}, err
 	}

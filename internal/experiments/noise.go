@@ -31,7 +31,7 @@ func NoiseStudy(app string, opt Options) (NoiseStudyResult, error) {
 	if err != nil {
 		return NoiseStudyResult{}, err
 	}
-	cfg, err := SystemByName("Intel+A100")
+	cfg, err := harness.SystemByName("Intel+A100")
 	if err != nil {
 		return NoiseStudyResult{}, err
 	}

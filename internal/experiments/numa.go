@@ -23,7 +23,7 @@ func NUMAStudy(opt Options) (NUMAStudyResult, error) {
 	if err != nil {
 		return NUMAStudyResult{}, err
 	}
-	cfg, err := SystemByName("Intel+A100")
+	cfg, err := harness.SystemByName("Intel+A100")
 	if err != nil {
 		return NUMAStudyResult{}, err
 	}

@@ -69,7 +69,7 @@ func TenantStudy(system string, opt Options) (TenantStudyResult, error) {
 	if err != nil {
 		return TenantStudyResult{}, err
 	}
-	cfg, err := SystemByName(system)
+	cfg, err := harness.SystemByName(system)
 	if err != nil {
 		return TenantStudyResult{}, err
 	}

@@ -173,7 +173,7 @@ func Tournament(opt TournamentOptions) (TournamentResult, error) {
 	}
 	var groups []group
 	for _, sysName := range opt.Systems {
-		cfg, err := SystemByName(sysName)
+		cfg, err := harness.SystemByName(sysName)
 		if err != nil {
 			return TournamentResult{}, err
 		}

@@ -46,7 +46,7 @@ func WasteStudy(system, app string, opt Options) (WasteStudyResult, error) {
 	if err != nil {
 		return WasteStudyResult{}, err
 	}
-	cfg, err := SystemByName(system)
+	cfg, err := harness.SystemByName(system)
 	if err != nil {
 		return WasteStudyResult{}, err
 	}

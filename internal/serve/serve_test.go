@@ -401,6 +401,29 @@ func TestBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSpecNames: a spec takes every system and governor name magusd
+// takes, and empty names select Intel+A100 under MAGUS.
+func TestSpecNames(t *testing.T) {
+	mg := newTestManager(t, Config{})
+	for _, tc := range []struct {
+		spec          Spec
+		system, gname string
+	}{
+		{Spec{Tenant: "t", Workload: "bfs"}, "Intel+A100", "magus"},
+		{Spec{Tenant: "t", Workload: "bfs", System: "amd", Governor: "duf"}, "AMD+MI250", "duf"},
+		{Spec{Tenant: "t", Workload: "bfs", System: "Intel+Max1550", Governor: "ups"}, "Intel+Max1550", "ups"},
+	} {
+		st, err := mg.Create(tc.spec)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.spec, err)
+		}
+		if st.System != tc.system || st.Governor != tc.gname {
+			t.Errorf("%+v: session runs %s under %s, want %s under %s",
+				tc.spec, st.System, st.Governor, tc.system, tc.gname)
+		}
+	}
+}
+
 // TestWasteLedger pins the PR 5 integration: a session created with
 // waste attribution reports a coherent joule decomposition.
 func TestWasteLedger(t *testing.T) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -12,7 +13,6 @@ import (
 	"github.com/spear-repro/magus/internal/flight"
 	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/harness"
-	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/resilient"
 	"github.com/spear-repro/magus/internal/spans"
 	"github.com/spear-repro/magus/internal/workload"
@@ -119,41 +119,6 @@ func colocatePolicy(name string) (workload.MuxPolicy, error) {
 	return 0, fmt.Errorf("%w: unknown colocation policy %q", ErrBadSpec, name)
 }
 
-// systemByName maps a session spec's system name to a node preset.
-func systemByName(name string) (node.Config, error) {
-	switch name {
-	case "", "a100", "Intel+A100":
-		return node.IntelA100(), nil
-	case "4a100", "Intel+4A100":
-		return node.Intel4A100(), nil
-	case "max1550", "Intel+Max1550":
-		return node.IntelMax1550(), nil
-	case "cpuonly", "Intel CPU-only":
-		return node.IntelCPUOnly(), nil
-	}
-	return node.Config{}, fmt.Errorf("%w: unknown system %q", ErrBadSpec, name)
-}
-
-// buildGovernor mirrors the magusd governor table over the internal
-// packages.
-func buildGovernor(name string, cfg node.Config) (governor.Governor, error) {
-	switch name {
-	case "", "magus":
-		return core.New(core.DefaultConfig()), nil
-	case "ups":
-		return governor.NewUPS(governor.UPSConfig{}), nil
-	case "duf":
-		return governor.NewDUF(governor.DUFConfig{}), nil
-	case "default":
-		return governor.NewDefault(), nil
-	case "max":
-		return governor.NewStatic(cfg.UncoreMaxGHz), nil
-	case "min":
-		return governor.NewStatic(cfg.UncoreMinGHz), nil
-	}
-	return nil, fmt.Errorf("%w: unknown governor %q", ErrBadSpec, name)
-}
-
 // sessionState is the session lifecycle (orthogonal to sensor health).
 type sessionState int32
 
@@ -223,9 +188,9 @@ type Session struct {
 // knobs a client must not control: the flight-ring capacity and the
 // chaos admission already enforced by Manager.Create.
 func newSession(id string, spec Spec, now time.Time, svc Config) (*Session, error) {
-	cfg, err := systemByName(spec.System)
+	cfg, err := harness.SystemByName(cmp.Or(spec.System, "a100"))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	var prog *workload.Program
 	var muxSpec *workload.MuxSpec
@@ -263,9 +228,9 @@ func newSession(id string, spec Spec, now time.Time, svc Config) (*Session, erro
 		}
 		prog = p
 	}
-	gov, err := buildGovernor(spec.Governor, cfg)
+	gov, err := harness.GovernorByName(cmp.Or(spec.Governor, "magus"), cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	if spec.PowerCapW > 0 {
 		gov = governor.WithPowerCap(gov, spec.PowerCapW)

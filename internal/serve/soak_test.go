@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -71,13 +72,13 @@ func TestSoakMultiTenant(t *testing.T) {
 		refWG.Add(1)
 		go func(sp Spec) {
 			defer refWG.Done()
-			cfg, err := systemByName(sp.System)
+			cfg, err := harness.SystemByName(cmp.Or(sp.System, "a100"))
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			prog, _ := workload.ByName(sp.Workload)
-			gov, err := buildGovernor(sp.Governor, cfg)
+			gov, err := harness.GovernorByName(cmp.Or(sp.Governor, "magus"), cfg)
 			if err != nil {
 				t.Error(err)
 				return

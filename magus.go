@@ -98,6 +98,16 @@ func NewUPS(cfg UPSConfig) *UPS { return governor.NewUPS(cfg) }
 // comparison.
 func DefaultUPSConfig() UPSConfig { return governor.DefaultUPSConfig() }
 
+// SystemByName maps a system name to its node preset.
+func SystemByName(name string) (NodeConfig, error) { return harness.SystemByName(name) }
+
+// GovernorByName builds a fresh governor by name (magus, ups, duf,
+// default, max, min) at its default configuration; max and min pin
+// cfg's uncore range extremes.
+func GovernorByName(name string, cfg NodeConfig) (Governor, error) {
+	return harness.GovernorByName(name, cfg)
+}
+
 // ---- Simulated systems ----
 
 // Node is a simulated heterogeneous CPU–GPU node.

@@ -82,8 +82,3 @@ func ReproduceTable1(opt ExperimentOptions) (Table1Result, error) {
 func ReproduceTable2(idleWindow time.Duration, opt ExperimentOptions) (Table2Result, error) {
 	return experiments.Table2(idleWindow, opt)
 }
-
-// SystemByName maps a system name to its node preset.
-func SystemByName(name string) (NodeConfig, error) {
-	return experiments.SystemByName(name)
-}

@@ -222,6 +222,21 @@ type Decision struct {
 	Reason string
 }
 
+// Outcome names what the cycle did: "missed" (no usable sample),
+// "warmup" (monitoring only), "acted" (an MSR write) or "hold".
+func (d Decision) Outcome() string {
+	switch {
+	case d.Missed:
+		return "missed"
+	case d.Warmup:
+		return "warmup"
+	case d.Acted:
+		return "acted"
+	default:
+		return "hold"
+	}
+}
+
 // Decision reasons: why a cycle chose its uncore target.
 const (
 	// ReasonWarmup: pure monitoring, no tuning yet (§3.3).

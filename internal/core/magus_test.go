@@ -395,3 +395,19 @@ func TestMAGUSMSRWriteErrorKeepsRunning(t *testing.T) {
 		t.Fatalf("limit = %v after rise, want 2.2", got)
 	}
 }
+
+func TestDecisionOutcome(t *testing.T) {
+	for _, tc := range []struct {
+		d    Decision
+		want string
+	}{
+		{Decision{Missed: true, Warmup: true, Acted: true}, "missed"},
+		{Decision{Warmup: true, Acted: true}, "warmup"},
+		{Decision{Acted: true}, "acted"},
+		{Decision{}, "hold"},
+	} {
+		if got := tc.d.Outcome(); got != tc.want {
+			t.Errorf("%+v: Outcome() = %q, want %q", tc.d, got, tc.want)
+		}
+	}
+}

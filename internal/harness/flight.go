@@ -31,26 +31,10 @@ type flightObserver struct {
 	lastTally  faults.Tally
 }
 
-// Decision outcome tags (constant strings: recording never allocates).
-var flightOutcomes = [...]string{"hold", "acted", "warmup", "missed"}
-
-func flightOutcome(d core.Decision) string {
-	switch {
-	case d.Missed:
-		return flightOutcomes[3]
-	case d.Warmup:
-		return flightOutcomes[2]
-	case d.Acted:
-		return flightOutcomes[1]
-	default:
-		return flightOutcomes[0]
-	}
-}
-
 // decide records one governor decision: A is the requested uncore
 // target in GHz, B the sensed throughput in GB/s, C the sensor health.
 func (fo *flightObserver) decide(d core.Decision) {
-	fo.ring.Record(d.At.Seconds(), flight.KindDecision, flightOutcome(d),
+	fo.ring.Record(d.At.Seconds(), flight.KindDecision, d.Outcome(),
 		d.TargetGHz, d.ThroughputGBs, float64(d.SensorHealth))
 }
 

@@ -331,16 +331,7 @@ func newDecisionObserver(o *obs.Observer) *decisionObserver {
 
 // observe records one decision.
 func (do *decisionObserver) observe(d core.Decision) {
-	switch {
-	case d.Missed:
-		do.outcome["missed"].Inc()
-	case d.Warmup:
-		do.outcome["warmup"].Inc()
-	case d.Acted:
-		do.outcome["acted"].Inc()
-	default:
-		do.outcome["hold"].Inc()
-	}
+	do.outcome[d.Outcome()].Inc()
 	do.target.Set(d.TargetGHz)
 
 	if do.havePrev {

@@ -126,6 +126,8 @@ func newSteppable(cfg node.Config, prog *workload.Program, gov governor.Governor
 		}
 		fset = faults.NewSet(opt.Faults, eng.Clock().Now)
 	}
+	// The noise seed is the one the noise study's published numbers
+	// were drawn with.
 	var noise *pcm.Noise
 	if opt.PCMNoise > 0 {
 		noise = pcm.NewNoise(opt.PCMNoise, opt.Seed*37+int64(opt.PCMNoise*1000))

@@ -193,7 +193,7 @@ func normalize(specs []NodeSpec, sampleEvery time.Duration) (out []NodeSpec, eve
 // buildMember wires one normalized spec as a harness run. A nil
 // factory runs the member unmanaged.
 func buildMember(spec NodeSpec) (*member, error) {
-	var gov governor.Governor = unmanaged{}
+	var gov governor.Governor = governor.Unmanaged{}
 	if spec.Factory != nil {
 		gov = spec.Factory()
 	}
@@ -204,17 +204,6 @@ func buildMember(spec NodeSpec) (*member, error) {
 	}
 	return &member{spec: spec, run: run, govName: gov.Name()}, nil
 }
-
-// unmanaged is the policy of a member without a factory: no governor
-// daemon at all. Unlike governor.Default, whose Attach writes the
-// uncore limit (through the member's fault wrappers, where an injected
-// MSR error would fail the member), it never touches the hardware.
-type unmanaged struct{}
-
-func (unmanaged) Name() string                       { return "default" }
-func (unmanaged) Attach(*governor.Env) error         { return nil }
-func (unmanaged) Interval() time.Duration            { return time.Hour }
-func (unmanaged) Invoke(time.Duration) time.Duration { return 0 }
 
 // Run executes the batch. All nodes share the virtual clock; each
 // application starts at t=0 (a batch launched together). sampleEvery

@@ -89,8 +89,8 @@ func ablationVariants(system string) (names []string, factories []harness.Govern
 		func() governor.Governor { return core.New(shortDeriv) },
 		func() governor.Governor { return core.New(warmMax) },
 		func() governor.Governor { return governor.NewModelBased(mbCfg, bwModel) },
-		upsFactoryFor(system),
-		func() governor.Governor { return governor.NewDUF(governor.DUFConfig{}) },
+		policy(system, "ups"),
+		policy(system, "duf"),
 		func() governor.Governor { return governor.NewModelBased(oracleCfg, bwModel) },
 	}
 	return names, factories
@@ -114,14 +114,12 @@ func Ablation(opt Options) (AblationResult, error) {
 	// One flat grid: per app, the baseline group followed by every
 	// variant group. Group order fixes the output order, so the pool
 	// can interleave cells freely.
-	runOpt := harness.Options{Seed: opt.Seed, Obs: opt.Obs}
 	stride := 1 + len(variants)
-	groups := make([]runGroup, 0, len(apps)*stride)
+	groups := make([]harness.RunSpec, 0, len(apps)*stride)
 	for _, app := range apps {
-		prog := mustProgram(app)
-		groups = append(groups, runGroup{cfg, prog, defaultFactory, runOpt})
-		for i := range variants {
-			groups = append(groups, runGroup{cfg, prog, factories[i], runOpt})
+		groups = append(groups, spec(cfg, app, policy(cfg.Name, "default"), opt))
+		for _, f := range factories {
+			groups = append(groups, spec(cfg, app, f, opt))
 		}
 	}
 	results, err := runGroups(groups, opt.Repeats, opt.Jobs)

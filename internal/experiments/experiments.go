@@ -100,20 +100,25 @@ func upsConfigFor(system string) governor.UPSConfig {
 	return uc
 }
 
-// magusFactory builds fresh MAGUS runtimes for the given system.
-func magusFactoryFor(system string) func() governor.Governor {
-	mc := magusConfigFor(system)
-	return func() governor.Governor { return core.New(mc) }
+// policy returns a fresh-governor factory for a named policy on a
+// system, with the system's invocation cost model applied: "default"
+// (the vendor default), "magus", "ups" or "duf". Driver tables are
+// static, so an unknown name is a programming error.
+func policy(system, name string) harness.GovernorFactory {
+	switch name {
+	case "default":
+		return func() governor.Governor { return governor.NewDefault() }
+	case "magus":
+		mc := magusConfigFor(system)
+		return func() governor.Governor { return core.New(mc) }
+	case "ups":
+		uc := upsConfigFor(system)
+		return func() governor.Governor { return governor.NewUPS(uc) }
+	case "duf":
+		return func() governor.Governor { return governor.NewDUF(governor.DUFConfig{}) }
+	}
+	panic(fmt.Sprintf("experiments: unknown policy %q", name))
 }
-
-// upsFactoryFor builds fresh UPS baselines for the given system.
-func upsFactoryFor(system string) func() governor.Governor {
-	uc := upsConfigFor(system)
-	return func() governor.Governor { return governor.NewUPS(uc) }
-}
-
-// defaultFactory builds the vendor-default governor.
-func defaultFactory() governor.Governor { return governor.NewDefault() }
 
 // mustProgram resolves a catalog workload or panics (experiment tables
 // are static; a missing name is a programming error).
@@ -125,29 +130,20 @@ func mustProgram(name string) *workload.Program {
 	return p
 }
 
-// runGroup is one aggregated cell of an experiment grid: a (system,
-// app, governor) tuple whose repeats are trim-averaged into a single
-// Result, exactly like harness.RunRepeated.
-type runGroup struct {
-	cfg     node.Config
-	prog    *workload.Program
-	factory harness.GovernorFactory
-	opt     harness.Options
-}
-
-// runGroups flattens every group into its (group, repeat) cells,
-// executes the whole grid on one bounded worker pool, and returns one
-// reduced Result per group in group order. A single flat pool keeps
-// workers busy across group boundaries (no per-group barrier) while
-// canonical-order reassembly keeps the output byte-identical to the
-// serial sweep for any jobs value.
-func runGroups(groups []runGroup, reps, jobs int) ([]harness.Result, error) {
+// runGroups runs every group — one (system, app, governor, options)
+// cell each — reps times on one bounded worker pool and returns one
+// trim-averaged Result per group in group order, exactly like
+// harness.RunRepeated. A single flat pool keeps workers busy across
+// group boundaries (no per-group barrier) while canonical-order
+// reassembly keeps the output byte-identical to the serial sweep for
+// any jobs value.
+func runGroups(groups []harness.RunSpec, reps, jobs int) ([]harness.Result, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("experiments: %d repeats requested; need at least 1", reps)
 	}
 	specs := make([]harness.RunSpec, 0, len(groups)*reps)
 	for _, g := range groups {
-		specs = append(specs, harness.RepeatSpecs(g.cfg, g.prog, g.factory, reps, g.opt)...)
+		specs = append(specs, harness.RepeatSpecs(g.Cfg, g.Prog, g.Factory, reps, g.Opt)...)
 	}
 	results, err := harness.RunBatch(specs, jobs)
 	if err != nil {
@@ -158,6 +154,21 @@ func runGroups(groups []runGroup, reps, jobs int) ([]harness.Result, error) {
 		out[i] = harness.Reduce(results[i*reps : (i+1)*reps])
 	}
 	return out, nil
+}
+
+// spec is one batch cell of app on cfg under factory, with the
+// experiment's seed and observer.
+func spec(cfg node.Config, app string, factory harness.GovernorFactory, opt Options) harness.RunSpec {
+	return harness.RunSpec{Cfg: cfg, Prog: mustProgram(app), Factory: factory,
+		Opt: harness.Options{Seed: opt.Seed, Obs: opt.Obs}}
+}
+
+// traceSpec is spec with 100 ms telemetry traces, for the figures
+// that plot them.
+func traceSpec(cfg node.Config, app string, factory harness.GovernorFactory, opt Options) harness.RunSpec {
+	s := spec(cfg, app, factory, opt)
+	s.Opt.TraceInterval = 100 * time.Millisecond
+	return s
 }
 
 // AppResult is one application row of Figure 4.
@@ -176,7 +187,7 @@ type Figure4Result struct {
 // Figure4 reproduces one subplot of Figure 4: per-application
 // performance loss, CPU power saving, and energy saving for MAGUS and
 // UPS versus the vendor default, on the named system ("Intel+A100",
-// "Intel+Max1550" or "Intel+4A100").
+// "Intel+Max1550" or "Intel+4A100"; any other system is an error).
 func Figure4(system string, opt Options) (Figure4Result, error) {
 	opt, err := opt.normalize()
 	if err != nil {
@@ -194,17 +205,16 @@ func Figure4(system string, opt Options) (Figure4Result, error) {
 		apps = workload.AltisSYCL()
 	case "Intel+4A100":
 		apps = workload.MultiGPU()
+	default:
+		return Figure4Result{}, fmt.Errorf("experiments: %s has no Figure 4 application set", cfg.Name)
 	}
 	out := Figure4Result{System: cfg.Name}
-	runOpt := harness.Options{Seed: opt.Seed, Obs: opt.Obs}
-	groups := make([]runGroup, 0, len(apps)*3)
+	govs := []string{"default", "magus", "ups"}
+	groups := make([]harness.RunSpec, 0, len(apps)*len(govs))
 	for _, app := range apps {
-		prog := mustProgram(app)
-		groups = append(groups,
-			runGroup{cfg, prog, defaultFactory, runOpt},
-			runGroup{cfg, prog, magusFactoryFor(cfg.Name), runOpt},
-			runGroup{cfg, prog, upsFactoryFor(cfg.Name), runOpt},
-		)
+		for _, g := range govs {
+			groups = append(groups, spec(cfg, app, policy(cfg.Name, g), opt))
+		}
 	}
 	results, err := runGroups(groups, opt.Repeats, opt.Jobs)
 	if err != nil {
@@ -242,28 +252,4 @@ func (f Figure4Result) MaxPerfLoss() float64 {
 		}
 	}
 	return worst
-}
-
-// traceRun executes one traced run (100 ms sampling) and returns it.
-func traceRun(cfg node.Config, app string, gov governor.Governor, opt Options) (harness.Result, error) {
-	return harness.Run(cfg, mustProgram(app), gov, harness.Options{
-		Seed:          opt.Seed,
-		TraceInterval: 100 * time.Millisecond,
-		Obs:           opt.Obs,
-	})
-}
-
-// traceSpec is traceRun as a batch cell, for figures that trace several
-// policies and can run them concurrently.
-func traceSpec(cfg node.Config, app string, factory harness.GovernorFactory, opt Options) harness.RunSpec {
-	return harness.RunSpec{
-		Cfg:     cfg,
-		Prog:    mustProgram(app),
-		Factory: factory,
-		Opt: harness.Options{
-			Seed:          opt.Seed,
-			TraceInterval: 100 * time.Millisecond,
-			Obs:           opt.Obs,
-		},
-	}
 }

@@ -6,9 +6,13 @@ package experiments
 // simulator fails loudly.
 
 import (
-	"github.com/spear-repro/magus/internal/telemetry"
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
+
+	"github.com/spear-repro/magus/internal/obs"
+	"github.com/spear-repro/magus/internal/telemetry"
 )
 
 func TestFigure1UncoreStaysPinned(t *testing.T) {
@@ -365,5 +369,41 @@ func TestFigure7SecondApplication(t *testing.T) {
 	}
 	if d := res.DefaultDistance(); d > 0.05 {
 		t.Fatalf("unet: default distance to frontier = %.3f", d)
+	}
+}
+
+// TestFigure4RejectsSystemsWithoutAppSet: Figure 4 covers the three
+// Intel systems only. Any other system used to return an empty result
+// with a nil error.
+func TestFigure4RejectsSystemsWithoutAppSet(t *testing.T) {
+	for _, sys := range []string{"amd", "cpuonly", "AMD+MI250"} {
+		res, err := Figure4(sys, Quick())
+		if err == nil {
+			t.Errorf("Figure4(%q) = %d apps, nil error; want an error", sys, len(res.Apps))
+		}
+	}
+}
+
+// TestTable2Observed: Table 2 honours Options.Obs. Every idle cell is
+// an observed run, and observing leaves the table's bytes unchanged.
+func TestTable2Observed(t *testing.T) {
+	window := 20 * time.Second
+	plain, err := Table2(window, Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Quick()
+	opt.Obs = obs.New(nil, nil)
+	observed, err := Table2(window, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := opt.Obs.Registry().Counter("magus_runs_total", "").Value(); n != 6 {
+		t.Errorf("magus_runs_total = %v, want 6 idle runs", n)
+	}
+	a, _ := json.Marshal(plain)
+	b, _ := json.Marshal(observed)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("observed Table 2 differs from the unobserved one:\n%s\n%s", b, a)
 	}
 }

@@ -33,8 +33,8 @@ func TestEveryPresetReachesAReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	factories := map[string]func() governor.Governor{
-		"magus": magusFactoryFor(cfg.Name),
-		"ups":   upsFactoryFor(cfg.Name),
+		"magus": policy(cfg.Name, "magus"),
+		"ups":   policy(cfg.Name, "ups"),
 	}
 	prog := mustProgram("srad")
 	opt := harness.Options{Seed: 1}

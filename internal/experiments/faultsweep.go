@@ -50,8 +50,6 @@ func FaultSweep(app string, plans []string, opt Options) (FaultSweepResult, erro
 	if err != nil {
 		return FaultSweepResult{}, err
 	}
-	prog := mustProgram(app)
-	runOpt := harness.Options{Seed: opt.Seed, Obs: opt.Obs}
 	if len(plans) == 0 {
 		plans = faults.PresetNames()
 	}
@@ -59,47 +57,42 @@ func FaultSweep(app string, plans []string, opt Options) (FaultSweepResult, erro
 	// fails fast instead of after the clean runs.
 	loaded := make([]*faults.Plan, len(plans))
 	for i, name := range plans {
-		plan, err := faults.Load(name)
-		if err != nil {
+		if loaded[i], err = faults.Load(name); err != nil {
 			return FaultSweepResult{}, err
 		}
-		loaded[i] = plan
 	}
 
-	// Flat grid: vendor default, clean MAGUS, then one faulted MAGUS
-	// cell per plan. Each faulted cell's factory stores its MAGUS
-	// instance in ms so Stats() can be read after the pool joins.
+	// Flat grid of single runs: vendor default, clean MAGUS, then one
+	// faulted MAGUS cell per plan. Each faulted cell's factory stores
+	// its MAGUS instance in ms so Stats() can be read after the pool
+	// joins.
 	ms := make([]*core.MAGUS, len(plans))
 	specs := []harness.RunSpec{
-		{Cfg: cfg, Prog: prog, Factory: defaultFactory, Opt: runOpt},
-		{Cfg: cfg, Prog: prog, Factory: magusFactoryFor(cfg.Name), Opt: runOpt},
+		spec(cfg, app, policy(cfg.Name, "default"), opt),
+		spec(cfg, app, policy(cfg.Name, "magus"), opt),
 	}
-	for i := range plans {
-		i := i
-		specs = append(specs, harness.RunSpec{
-			Cfg: cfg, Prog: prog,
-			Factory: func() governor.Governor {
-				ms[i] = core.New(magusConfigFor(cfg.Name))
-				return ms[i]
-			},
-			Opt: harness.Options{Seed: opt.Seed, Faults: loaded[i], Obs: opt.Obs},
-		})
+	for i, plan := range loaded {
+		s := spec(cfg, app, func() governor.Governor {
+			ms[i] = core.New(magusConfigFor(cfg.Name))
+			return ms[i]
+		}, opt)
+		s.Opt.Faults = plan
+		specs = append(specs, s)
 	}
 	results, err := harness.RunBatch(specs, opt.Jobs)
 	if err != nil {
 		return FaultSweepResult{}, err
 	}
-	base, clean := results[0], results[1]
+	base, clean, faulted := results[0], results[1], results[2:]
 	out := FaultSweepResult{
 		App:             app,
 		CleanRuntimeS:   clean.RuntimeS,
 		CleanEnergyJ:    clean.TotalEnergyJ(),
 		DefaultRuntimeS: base.RuntimeS,
 	}
-	for i, name := range plans {
-		res := results[2+i]
+	for i, res := range faulted {
 		out.Points = append(out.Points, FaultPoint{
-			Plan:       name,
+			Plan:       plans[i],
 			RuntimeS:   res.RuntimeS,
 			Comparison: harness.Compare(clean, res),
 			Injected:   res.FaultsInjected,

@@ -31,10 +31,12 @@ func Figure1(opt Options) (Figure1Result, error) {
 	if err != nil {
 		return Figure1Result{}, err
 	}
-	res, err := traceRun(node.IntelA100(), "unet", defaultFactory(), opt)
+	cfg := node.IntelA100()
+	runs, err := harness.RunBatch([]harness.RunSpec{traceSpec(cfg, "unet", policy(cfg.Name, "default"), opt)}, opt.Jobs)
 	if err != nil {
 		return Figure1Result{}, err
 	}
+	res := runs[0]
 	out := Figure1Result{
 		GPUClockMHz: res.Traces.Series("gpu0_clock_mhz"),
 		UncoreGHz:   res.Traces.Series("uncore_ghz"),
@@ -112,10 +114,10 @@ func Figure5(opt Options) (Figure5Result, error) {
 	}
 	cfg := node.IntelA100()
 	res, err := harness.RunBatch([]harness.RunSpec{
-		traceSpec(cfg, "srad", defaultFactory, opt),
+		traceSpec(cfg, "srad", policy(cfg.Name, "default"), opt),
 		traceSpec(cfg, "srad", func() governor.Governor { return governor.NewStatic(cfg.UncoreMinGHz) }, opt),
-		traceSpec(cfg, "srad", magusFactoryFor(cfg.Name), opt),
-		traceSpec(cfg, "srad", upsFactoryFor(cfg.Name), opt),
+		traceSpec(cfg, "srad", policy(cfg.Name, "magus"), opt),
+		traceSpec(cfg, "srad", policy(cfg.Name, "ups"), opt),
 	}, opt.Jobs)
 	if err != nil {
 		return Figure5Result{}, err
@@ -155,8 +157,8 @@ func Figure6(opt Options) (Figure6Result, error) {
 	// race-free.
 	var m *core.MAGUS
 	res, err := harness.RunBatch([]harness.RunSpec{
-		traceSpec(cfg, "srad", defaultFactory, opt),
-		traceSpec(cfg, "srad", upsFactoryFor(cfg.Name), opt),
+		traceSpec(cfg, "srad", policy(cfg.Name, "default"), opt),
+		traceSpec(cfg, "srad", policy(cfg.Name, "ups"), opt),
 		traceSpec(cfg, "srad", func() governor.Governor {
 			m = core.New(magusConfigFor(cfg.Name))
 			return m
@@ -227,18 +229,14 @@ func Figure7(app string, opt Options) (Figure7Result, error) {
 		return Figure7Result{}, err
 	}
 	cfg := node.IntelA100()
-	prog := mustProgram(app)
 	grid := figure7Grid()
 	def := core.DefaultConfig()
 
 	out := Figure7Result{App: app, Default: -1}
 	pts := make([]stats.Point, 0, len(grid))
-	groups := make([]runGroup, 0, len(grid))
+	groups := make([]harness.RunSpec, 0, len(grid))
 	for _, mc := range grid {
-		mcCopy := mc
-		groups = append(groups, runGroup{cfg, prog,
-			func() governor.Governor { return core.New(mcCopy) },
-			harness.Options{Seed: opt.Seed, Obs: opt.Obs}})
+		groups = append(groups, spec(cfg, app, func() governor.Governor { return core.New(mc) }, opt))
 	}
 	results, err := runGroups(groups, opt.Repeats, opt.Jobs)
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/spear-repro/magus/internal/cluster"
-	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/obs"
 	"github.com/spear-repro/magus/internal/spans"
@@ -112,11 +111,10 @@ type FleetResult struct {
 	Cells   []FleetCell
 }
 
-// fleetStudySpecs builds the mixed fleet for one governor row.
-// factoryFor is nil for the vendor default; otherwise it maps a
-// system name to a fresh-governor factory, so each member gets the
-// runtime calibrated for its own preset.
-func fleetStudySpecs(nodes int, seed int64, factoryFor func(system string) func() governor.Governor) []cluster.NodeSpec {
+// fleetStudySpecs builds the mixed fleet for one governor row. The
+// "default" row runs its members unmanaged (no factory); any other
+// row gives each member the policy calibrated for its own preset.
+func fleetStudySpecs(nodes int, seed int64, gov string) []cluster.NodeSpec {
 	presets := []func() node.Config{node.IntelA100, node.Intel4A100, node.IntelMax1550}
 	apps := workload.SingleGPU()
 	specs := make([]cluster.NodeSpec, nodes)
@@ -127,8 +125,8 @@ func fleetStudySpecs(nodes int, seed int64, factoryFor func(system string) func(
 			Workload: mustProgram(apps[i%len(apps)]),
 			Seed:     seed + int64(i)*131,
 		}
-		if factoryFor != nil {
-			specs[i].Factory = factoryFor(cfg.Name)
+		if gov != "default" {
+			specs[i].Factory = policy(cfg.Name, gov)
 		}
 	}
 	return specs
@@ -143,14 +141,6 @@ func FleetStudy(opt FleetOptions) (FleetResult, error) {
 	if err != nil {
 		return FleetResult{}, err
 	}
-	rows := []struct {
-		name       string
-		factoryFor func(system string) func() governor.Governor
-	}{
-		{"default", nil},
-		{"magus", magusFactoryFor},
-		{"ups", upsFactoryFor},
-	}
 	res := FleetResult{Nodes: opt.Nodes}
 	copt := cluster.Options{
 		SampleEvery: opt.SampleEvery,
@@ -163,17 +153,16 @@ func FleetStudy(opt FleetOptions) (FleetResult, error) {
 	if opt.Dist {
 		copt.Obs = opt.Obs
 	}
-	for _, row := range rows {
-		specs := fleetStudySpecs(opt.Nodes, opt.Seed, row.factoryFor)
-		r, err := cluster.RunFleet(specs, copt)
+	for _, gov := range []string{"default", "magus", "ups"} {
+		r, err := cluster.RunFleet(fleetStudySpecs(opt.Nodes, opt.Seed, gov), copt)
 		if err != nil {
-			return FleetResult{}, fmt.Errorf("experiments: fleet %s row: %w", row.name, err)
+			return FleetResult{}, fmt.Errorf("experiments: fleet %s row: %w", gov, err)
 		}
-		if row.name == "default" {
+		if gov == "default" {
 			res.BudgetW = r.PeakW * opt.BudgetFrac
 		}
 		res.Cells = append(res.Cells, FleetCell{
-			Governor:       row.name,
+			Governor:       gov,
 			EnergyJ:        r.EnergyJ,
 			PeakW:          r.PeakW,
 			AvgW:           r.AvgW,

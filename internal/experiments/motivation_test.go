@@ -28,7 +28,7 @@ func TestCPUOnlyTDPClampEngages(t *testing.T) {
 	if !ok {
 		t.Fatal("hpc_cg missing")
 	}
-	res, err := harness.Run(cfg, prog, defaultFactory(), harness.Options{
+	res, err := harness.Run(cfg, prog, policy(cfg.Name, "default")(), harness.Options{
 		Seed:          1,
 		TraceInterval: 100 * time.Millisecond,
 	})
@@ -71,15 +71,15 @@ func TestCPUOnlyScopeBoundary(t *testing.T) {
 	prog, _ := workload.ByName("hpc_cg")
 	opt := harness.Options{Seed: 1}
 
-	base, err := harness.Run(cfg, prog, defaultFactory(), opt)
+	base, err := harness.Run(cfg, prog, policy(cfg.Name, "default")(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	magusRes, err := harness.Run(cfg, prog, magusFactoryFor(cfg.Name)(), opt)
+	magusRes, err := harness.Run(cfg, prog, policy(cfg.Name, "magus")(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	upsRes, err := harness.Run(cfg, prog, upsFactoryFor(cfg.Name)(), opt)
+	upsRes, err := harness.Run(cfg, prog, policy(cfg.Name, "ups")(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

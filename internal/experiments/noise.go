@@ -35,32 +35,24 @@ func NoiseStudy(app string, opt Options) (NoiseStudyResult, error) {
 	if err != nil {
 		return NoiseStudyResult{}, err
 	}
-	prog := mustProgram(app)
-	reps := opt.Repeats
-	if reps < 1 {
-		reps = 1
-	}
+	// Flat grid: the clean baseline, then one MAGUS group per
+	// amplitude.
 	amps := NoiseAmplitudes()
-
-	// Flat grid: the clean baseline's repeats first, then reps cells
-	// per amplitude, all on one pool.
-	specs := harness.RepeatSpecs(cfg, prog, defaultFactory, reps,
-		harness.Options{Seed: opt.Seed, Obs: opt.Obs})
+	groups := []harness.RunSpec{spec(cfg, app, policy(cfg.Name, "default"), opt)}
 	for _, a := range amps {
-		specs = append(specs, harness.RepeatSpecs(cfg, prog, magusFactoryFor(cfg.Name), reps,
-			harness.Options{Seed: opt.Seed, PCMNoise: a, Obs: opt.Obs})...)
+		g := spec(cfg, app, policy(cfg.Name, "magus"), opt)
+		g.Opt.PCMNoise = a
+		groups = append(groups, g)
 	}
-	results, err := harness.RunBatch(specs, opt.Jobs)
+	results, err := runGroups(groups, opt.Repeats, opt.Jobs)
 	if err != nil {
 		return NoiseStudyResult{}, err
 	}
-	base := harness.Reduce(results[:reps])
 	out := NoiseStudyResult{App: app}
 	for ai, a := range amps {
-		res := harness.Reduce(results[reps*(1+ai) : reps*(2+ai)])
 		out.Points = append(out.Points, NoisePoint{
 			Amplitude:  a,
-			Comparison: harness.Compare(base, res),
+			Comparison: harness.Compare(results[0], results[1+ai]),
 		})
 	}
 	return out, nil

@@ -27,20 +27,17 @@ func NUMAStudy(opt Options) (NUMAStudyResult, error) {
 	if err != nil {
 		return NUMAStudyResult{}, err
 	}
-	prog := mustProgram("numa_etl")
-	runOpt := harness.Options{Seed: opt.Seed, Obs: opt.Obs}
-
 	mc := magusConfigFor(cfg.Name)
-	results, err := runGroups([]runGroup{
-		{cfg, prog, defaultFactory, runOpt},
-		{cfg, prog, magusFactoryFor(cfg.Name), runOpt},
-		{cfg, prog, func() governor.Governor { return core.NewPerSocket(mc) }, runOpt},
+	results, err := runGroups([]harness.RunSpec{
+		spec(cfg, "numa_etl", policy(cfg.Name, "default"), opt),
+		spec(cfg, "numa_etl", policy(cfg.Name, "magus"), opt),
+		spec(cfg, "numa_etl", func() governor.Governor { return core.NewPerSocket(mc) }, opt),
 	}, opt.Repeats, opt.Jobs)
 	if err != nil {
 		return NUMAStudyResult{}, err
 	}
 	return NUMAStudyResult{
-		App:       prog.Name,
+		App:       "numa_etl",
 		Global:    harness.Compare(results[0], results[1]),
 		PerSocket: harness.Compare(results[0], results[2]),
 	}, nil

@@ -9,7 +9,6 @@ import (
 	"github.com/spear-repro/magus/internal/msr"
 	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/parallel"
-	"github.com/spear-repro/magus/internal/sim"
 	"github.com/spear-repro/magus/internal/telemetry"
 	"github.com/spear-repro/magus/internal/workload"
 )
@@ -45,8 +44,8 @@ func Table1(opt Options) (Table1Result, error) {
 	specs := make([]harness.RunSpec, 0, len(apps)*2)
 	for _, app := range apps {
 		specs = append(specs,
-			traceSpec(cfg, app, defaultFactory, opt),
-			traceSpec(cfg, app, magusFactoryFor(cfg.Name), opt))
+			traceSpec(cfg, app, policy(cfg.Name, "default"), opt),
+			traceSpec(cfg, app, policy(cfg.Name, "magus"), opt))
 	}
 	results, err := harness.RunBatch(specs, opt.Jobs)
 	if err != nil {
@@ -113,9 +112,7 @@ func (t Table2Result) Get(system, method string) (OverheadRow, bool) {
 }
 
 // discardWrites wraps an MSR device so uncore-limit writes are
-// accepted but ignored — Table 2 measures monitoring + decision cost
-// "excluding uncore scaling" (§6.5), so both runtimes run against a
-// node whose uncore state never changes.
+// accepted but ignored.
 type discardWrites struct{ dev msr.Device }
 
 func (d discardWrites) Read(cpu int, reg uint32) (uint64, error) { return d.dev.Read(cpu, reg) }
@@ -125,6 +122,27 @@ func (d discardWrites) Write(cpu int, reg uint32, val uint64) error {
 		return nil
 	}
 	return d.dev.Write(cpu, reg, val)
+}
+
+// idleOverhead runs a governor the §6.5 way: Table 2 measures
+// monitoring and decision cost "excluding uncore scaling", so the
+// governor sees an MSR device that discards its uncore-limit writes
+// and the node's uncore state never changes. It counts the governor's
+// invocations.
+type idleOverhead struct {
+	governor.Governor
+	invocations uint64
+}
+
+func (g *idleOverhead) Attach(env *governor.Env) error {
+	e := *env
+	e.Dev = discardWrites{dev: env.Dev}
+	return g.Governor.Attach(&e)
+}
+
+func (g *idleOverhead) Invoke(now time.Duration) time.Duration {
+	g.invocations++
+	return g.Governor.Invoke(now)
 }
 
 // Table2 measures each runtime's idle overhead on the two single-GPU
@@ -142,8 +160,8 @@ func Table2(idleWindow time.Duration, opt Options) (Table2Result, error) {
 	}
 	out := Table2Result{IdleWindow: idleWindow}
 	// Six independent idle cells — (2 systems) × (unmanaged, magus,
-	// ups) — fanned out directly; each builds its governor inside the
-	// cell, and the unmanaged baselines are read back by index.
+	// ups) — on one pool; the unmanaged baselines are read back by
+	// index.
 	cfgs := []node.Config{node.IntelA100(), node.IntelMax1550()}
 	methods := []string{"", "magus", "ups"}
 	type idleCell struct {
@@ -157,15 +175,20 @@ func Table2(idleWindow time.Duration, opt Options) (Table2Result, error) {
 	cells, err := parallel.Map(context.Background(), len(cfgs)*len(methods), opt.Jobs, pm,
 		func(_ context.Context, i int) (idleCell, error) {
 			cfg := cfgs[i/len(methods)]
-			var gov governor.Governor
-			switch methods[i%len(methods)] {
-			case "magus":
-				gov = magusFactoryFor(cfg.Name)()
-			case "ups":
-				gov = upsFactoryFor(cfg.Name)()
+			gov := &idleOverhead{Governor: governor.Unmanaged{}}
+			if m := methods[i%len(methods)]; m != "" {
+				gov.Governor = policy(cfg.Name, m)()
 			}
-			power, busySec, invocations, err := runIdle(cfg, gov, idleWindow, opt.Seed)
-			return idleCell{power, busySec, invocations}, err
+			st, err := harness.NewSteppable(cfg, workload.Idle(idleWindow), gov,
+				harness.Options{Seed: opt.Seed, Obs: opt.Obs})
+			if err != nil {
+				return idleCell{}, err
+			}
+			if _, err := st.Advance(st.Horizon()); err != nil {
+				return idleCell{}, err
+			}
+			pkgJ, drmJ, _ := st.Node().EnergyJ()
+			return idleCell{(pkgJ + drmJ) / idleWindow.Seconds(), st.Node().DaemonBusySeconds(), gov.invocations}, nil
 		})
 	if err != nil {
 		return Table2Result{}, err
@@ -186,52 +209,4 @@ func Table2(idleWindow time.Duration, opt Options) (Table2Result, error) {
 		}
 	}
 	return out, nil
-}
-
-// runIdle runs an idle node for window under gov (nil = unmanaged) and
-// returns average CPU power, total daemon busy seconds, and the
-// invocation count.
-func runIdle(cfg node.Config, gov governor.Governor, window time.Duration, seed int64) (avgPowerW, busySec float64, invocations uint64, err error) {
-	eng := sim.NewEngine(0)
-	n := node.New(cfg)
-	runner := workload.NewRunner(workload.Idle(window), cfg.SystemBWGBs(), seed)
-	runner.SetAttained(n.AttainedGBs)
-	eng.AddComponent(sim.ComponentFunc(func(now, dt time.Duration) {
-		runner.Step(now, dt)
-		n.SetDemand(runner.Demand())
-	}))
-	eng.AddComponent(n)
-
-	var invCounter uint64
-	if gov != nil {
-		env, berr := BuildIdleEnv(n)
-		if berr != nil {
-			return 0, 0, 0, berr
-		}
-		if aerr := gov.Attach(env); aerr != nil {
-			return 0, 0, 0, aerr
-		}
-		eng.AddTask(&sim.Task{
-			Name:     gov.Name(),
-			Interval: gov.Interval(),
-			Fn: func(now time.Duration) time.Duration {
-				invCounter++
-				return gov.Invoke(now)
-			},
-		}, 0)
-	}
-	eng.RunFor(window)
-	pkgJ, drmJ, _ := n.EnergyJ()
-	return (pkgJ + drmJ) / window.Seconds(), n.DaemonBusySeconds(), invCounter, nil
-}
-
-// BuildIdleEnv is BuildEnv with uncore-limit writes discarded, per the
-// §6.5 methodology.
-func BuildIdleEnv(n *node.Node) (*governor.Env, error) {
-	env, err := harness.BuildEnv(n)
-	if err != nil {
-		return nil, err
-	}
-	env.Dev = discardWrites{dev: env.Dev}
-	return env, nil
 }

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/spear-repro/magus/internal/attrib"
 	"github.com/spear-repro/magus/internal/harness"
 	"github.com/spear-repro/magus/internal/report"
-	"github.com/spear-repro/magus/internal/spans"
 	"github.com/spear-repro/magus/internal/workload"
 )
 
@@ -62,8 +60,7 @@ type TenantStudyResult struct {
 }
 
 // TenantStudy runs every colocation scenario under the default and
-// MAGUS governors with the waste ledger attached. Tracers are
-// single-run objects, so cells run serially.
+// MAGUS governors with the waste ledger attached. Cells run serially.
 func TenantStudy(system string, opt Options) (TenantStudyResult, error) {
 	opt, err := opt.normalize()
 	if err != nil {
@@ -74,45 +71,33 @@ func TenantStudy(system string, opt Options) (TenantStudyResult, error) {
 		return TenantStudyResult{}, err
 	}
 
-	type cellSpec struct {
-		name    string
-		factory harness.GovernorFactory
-		window  int
-	}
-	govs := []cellSpec{
-		{"default", defaultFactory0, spans.DefaultWindowTicks},
-		{"magus", magusFactoryFor(cfg.Name), magusConfigFor(cfg.Name).Window},
-	}
-
 	out := TenantStudyResult{System: cfg.Name}
 	for _, sc := range TenantScenarios() {
-		for _, g := range govs {
-			tr := spans.New(g.window)
+		for _, gov := range []string{"default", "magus"} {
 			spec := sc.Spec
-			res, err := harness.Run(cfg, nil, g.factory(), harness.Options{
-				Seed: opt.Seed, Obs: opt.Obs, Spans: tr, Tenants: &spec,
+			lr, err := runLedger(cfg, nil, policy(cfg.Name, gov)(), harness.Options{
+				Seed: opt.Seed, Obs: opt.Obs, Tenants: &spec,
 			})
 			if err != nil {
 				return TenantStudyResult{}, fmt.Errorf("experiments: tenants %s/%s/%s: %w",
-					cfg.Name, sc.Name, g.name, err)
+					cfg.Name, sc.Name, gov, err)
 			}
+			res := lr.res
 			if res.Tenants == nil {
 				return TenantStudyResult{}, fmt.Errorf("experiments: tenants %s/%s/%s: run returned no attribution report",
-					cfg.Name, sc.Name, g.name)
+					cfg.Name, sc.Name, gov)
 			}
-			l := tr.Ledger()
-			samples := spans.StepsIn(time.Duration(res.RuntimeS*float64(time.Second)), time.Millisecond) * cfg.Sockets
 			cell := TenantCell{
 				Scenario:       sc.Name,
-				Governor:       g.name,
+				Governor:       gov,
 				Policy:         sc.Spec.Policy.String(),
 				Report:         res.Tenants,
 				Balanced:       res.Tenants.Balanced(res.Tenants.BalanceTol()),
-				Run:            wasteRow("run", l.Run()),
-				LedgerBalanced: l.Balanced(spans.BalanceTolUlps(samples)),
+				Run:            lr.run,
+				LedgerBalanced: lr.balanced,
 				Result:         res,
 			}
-			for _, te := range l.Tenants() {
+			for _, te := range lr.tr.Ledger().Tenants() {
 				cell.Tenants = append(cell.Tenants, wasteRow("tenant "+te.Name, te.Energy))
 			}
 			out.Cells = append(out.Cells, cell)

@@ -13,7 +13,6 @@ import (
 	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/parallel"
 	"github.com/spear-repro/magus/internal/report"
-	"github.com/spear-repro/magus/internal/spans"
 	"github.com/spear-repro/magus/internal/workload"
 )
 
@@ -219,19 +218,10 @@ func Tournament(opt TournamentOptions) (TournamentResult, error) {
 
 // runTournamentGroup produces one cell's entries in fixed order.
 func runTournamentGroup(cfg node.Config, prog *workload.Program, fault string, opt TournamentOptions) ([]TournamentCell, error) {
-	baseline := []struct {
-		name    string
-		factory harness.GovernorFactory
-		window  int
-	}{
-		{"default", defaultFactory0, spans.DefaultWindowTicks},
-		{"ups", upsFactoryFor(cfg.Name), spans.DefaultWindowTicks},
-		{"duf", func() governor.Governor { return governor.NewDUF(governor.DUFConfig{}) }, spans.DefaultWindowTicks},
-	}
-	cells := make([]TournamentCell, 0, len(baseline)+1+len(opt.Variants))
+	var cells []TournamentCell
 	if !opt.MagusOnly {
-		for _, b := range baseline {
-			c, err := runTournamentCell(cfg, prog, fault, b.name, b.factory(), b.window, opt.Seed)
+		for _, name := range []string{"default", "ups", "duf"} {
+			c, err := runTournamentCell(cfg, prog, fault, name, policy(cfg.Name, name)(), opt.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -257,24 +247,21 @@ func tournamentPlan(fault string, seed int64) *faults.Plan {
 }
 
 // runTournamentCell executes one entry from scratch.
-func runTournamentCell(cfg node.Config, prog *workload.Program, fault, entry string, gov governor.Governor, window int, seed int64) (TournamentCell, error) {
-	tr := spans.New(window)
-	res, err := harness.Run(cfg, prog, gov, harness.Options{
-		Seed: seed, Faults: tournamentPlan(fault, seed), Spans: tr,
-	})
+func runTournamentCell(cfg node.Config, prog *workload.Program, fault, entry string, gov governor.Governor, seed int64) (TournamentCell, error) {
+	lr, err := runLedger(cfg, prog, gov, harness.Options{Seed: seed, Faults: tournamentPlan(fault, seed)})
 	if err != nil {
 		return TournamentCell{}, fmt.Errorf("experiments: tournament %s/%s/%s: %w",
 			cfg.Name, prog.Name, entry, err)
 	}
-	return tournamentCell(cfg, prog, fault, entry, res, tr), nil
+	return tournamentCell(cfg, prog, fault, entry, lr), nil
 }
 
-// tournamentCell assembles a cell from a finished run and its tracer.
-func tournamentCell(cfg node.Config, prog *workload.Program, fault, entry string, res harness.Result, tr *spans.Tracer) TournamentCell {
+// tournamentCell assembles a cell from a finished run's ledger.
+func tournamentCell(cfg node.Config, prog *workload.Program, fault, entry string, lr ledgerRun) TournamentCell {
 	return TournamentCell{
 		System: cfg.Name, App: prog.Name, Fault: fault, Entry: entry,
-		Run:    wasteRow("run", tr.Ledger().Run()),
-		Result: res,
+		Run:    lr.run,
+		Result: lr.res,
 	}
 }
 
@@ -311,13 +298,13 @@ func runMagusFamily(cfg node.Config, prog *workload.Program, fault string, opt T
 
 	if opt.Scratch {
 		cells := make([]TournamentCell, 0, 1+len(opt.Variants))
-		c, err := runTournamentCell(cfg, prog, fault, "magus", core.New(baseCfg), baseCfg.Window, opt.Seed)
+		c, err := runTournamentCell(cfg, prog, fault, "magus", core.New(baseCfg), opt.Seed)
 		if err != nil {
 			return nil, err
 		}
 		cells = append(cells, c)
 		for i, v := range opt.Variants {
-			c, err := runTournamentCell(cfg, prog, fault, "magus+"+v.Name, core.New(varCfgs[i]), varCfgs[i].Window, opt.Seed)
+			c, err := runTournamentCell(cfg, prog, fault, "magus+"+v.Name, core.New(varCfgs[i]), opt.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -364,7 +351,7 @@ func forkMagusFamily(cfg node.Config, prog *workload.Program, fault string, base
 	gov := core.New(baseCfg)
 	var pending []core.Decision
 	gov.OnDecision(func(d core.Decision) { pending = append(pending, d) })
-	tr := spans.New(baseCfg.Window)
+	tr := newTracer(gov)
 	st, err := harness.NewSteppable(cfg, prog, gov, harness.Options{
 		Seed: opt.Seed, Faults: tournamentPlan(fault, opt.Seed), Spans: tr,
 	})
@@ -459,7 +446,7 @@ func forkMagusFamily(cfg node.Config, prog *workload.Program, fault string, base
 		pending = pending[:0]
 	}
 	baseRes := st.Result()
-	baseCell := tournamentCell(cfg, prog, fault, "magus", baseRes, tr)
+	baseCell := tournamentCell(cfg, prog, fault, "magus", reduceLedger(cfg, baseRes, tr))
 
 	cells := make([]TournamentCell, 0, 1+len(vps))
 	cells = append(cells, baseCell)
@@ -473,7 +460,7 @@ func forkMagusFamily(cfg node.Config, prog *workload.Program, fault string, base
 			}
 			cells = append(cells, c)
 		case vp.scratch:
-			c, err := runTournamentCell(cfg, prog, fault, entry, core.New(vp.cfg), vp.cfg.Window, opt.Seed)
+			c, err := runTournamentCell(cfg, prog, fault, entry, core.New(vp.cfg), opt.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -502,8 +489,9 @@ func resumeVariant(cfg node.Config, prog *workload.Program, fault, entry string,
 	if err != nil {
 		return fail(err)
 	}
-	tr := spans.New(vp.cfg.Window)
-	st, err := harness.Resume(data, harness.ResumeOptions{Gov: core.New(vp.cfg), Spans: tr})
+	gov := core.New(vp.cfg)
+	tr := newTracer(gov)
+	st, err := harness.Resume(data, harness.ResumeOptions{Gov: gov, Spans: tr})
 	if err != nil {
 		return fail(err)
 	}
@@ -514,7 +502,7 @@ func resumeVariant(cfg node.Config, prog *workload.Program, fault, entry string,
 	if !done {
 		return fail(fmt.Errorf("resumed run did not complete within horizon %s", st.Horizon()))
 	}
-	c := tournamentCell(cfg, prog, fault, entry, st.Result(), tr)
+	c := tournamentCell(cfg, prog, fault, entry, reduceLedger(cfg, st.Result(), tr))
 	c.Forked = true
 	c.ForkedAtS = vp.forkAtS
 	return c, nil

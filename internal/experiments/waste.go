@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/spear-repro/magus/internal/core"
 	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/harness"
+	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/report"
 	"github.com/spear-repro/magus/internal/spans"
+	"github.com/spear-repro/magus/internal/workload"
 )
 
 // WasteCell is one governor's energy attribution for the study cell.
@@ -39,8 +42,8 @@ type WasteStudyResult struct {
 
 // WasteStudy runs one (system, app) cell under each governor with the
 // decision-causality tracer attached and reduces the ledgers into
-// attribution rows. Tracers are single-run objects, so the study runs
-// its cells serially — it is a diagnostic surface, not a sweep.
+// attribution rows. It is a diagnostic surface, not a sweep: its cells
+// run serially.
 func WasteStudy(system, app string, opt Options) (WasteStudyResult, error) {
 	opt, err := opt.normalize()
 	if err != nil {
@@ -51,42 +54,22 @@ func WasteStudy(system, app string, opt Options) (WasteStudyResult, error) {
 		return WasteStudyResult{}, err
 	}
 	prog := mustProgram(app)
-
-	type cellSpec struct {
-		name    string
-		factory harness.GovernorFactory
-		window  int
-	}
-	cells := []cellSpec{
-		{"default", defaultFactory0, spans.DefaultWindowTicks},
-		{"magus", magusFactoryFor(cfg.Name), magusConfigFor(cfg.Name).Window},
-		{"ups", upsFactoryFor(cfg.Name), spans.DefaultWindowTicks},
-	}
-
 	out := WasteStudyResult{System: cfg.Name, Workload: prog.Name}
-	for _, c := range cells {
-		tr := spans.New(c.window)
-		res, err := harness.Run(cfg, prog, c.factory(), harness.Options{
-			Seed: opt.Seed, Obs: opt.Obs, Spans: tr,
-		})
+	for _, gov := range []string{"default", "magus", "ups"} {
+		lr, err := runLedger(cfg, prog, policy(cfg.Name, gov)(), harness.Options{Seed: opt.Seed, Obs: opt.Obs})
 		if err != nil {
 			return WasteStudyResult{}, fmt.Errorf("experiments: waste %s/%s/%s: %w",
-				cfg.Name, prog.Name, c.name, err)
+				cfg.Name, prog.Name, gov, err)
 		}
-		l := tr.Ledger()
-		// Samples per window ≈ window ticks × tick period in engine
-		// steps × sockets; size the balance tolerance from the whole
-		// run so it also covers the run-level bucket.
-		samples := spans.StepsIn(time.Duration(res.RuntimeS*float64(time.Second)), time.Millisecond) * cfg.Sockets
 		cell := WasteCell{
-			Governor:  c.name,
-			Run:       wasteRow("run", l.Run()),
-			Windows:   tr.Count(spans.KindWindow),
-			Decisions: tr.Count(spans.KindDecision),
-			Balanced:  l.Balanced(spans.BalanceTolUlps(samples)),
-			Result:    res,
+			Governor:  gov,
+			Run:       lr.run,
+			Windows:   lr.tr.Count(spans.KindWindow),
+			Decisions: lr.tr.Count(spans.KindDecision),
+			Balanced:  lr.balanced,
+			Result:    lr.res,
 		}
-		for _, p := range l.Phases() {
+		for _, p := range lr.tr.Ledger().Phases() {
 			cell.Phases = append(cell.Phases, wasteRow("phase "+p.Name, p.Energy))
 		}
 		out.Cells = append(out.Cells, cell)
@@ -94,8 +77,53 @@ func WasteStudy(system, app string, opt Options) (WasteStudyResult, error) {
 	return out, nil
 }
 
-// defaultFactory0 adapts defaultFactory to harness.GovernorFactory.
-func defaultFactory0() governor.Governor { return defaultFactory() }
+// ledgerRun is one finished run with a waste ledger attached: the run,
+// its tracer, the whole-run attribution bucket, and the ledger
+// invariant (baseline + useful + waste == total uncore joules within
+// the sample-scaled ulp tolerance) over the run and every window.
+type ledgerRun struct {
+	res      harness.Result
+	tr       *spans.Tracer
+	run      report.WasteRow
+	balanced bool
+}
+
+// newTracer returns a fresh waste-ledger tracer for a run under gov.
+// Its windows follow MAGUS's own decision window, and the spans default
+// (DefaultWindowTicks) for every other policy.
+func newTracer(gov governor.Governor) *spans.Tracer {
+	if m, ok := gov.(*core.MAGUS); ok {
+		return spans.New(m.Config().Window)
+	}
+	return spans.New(spans.DefaultWindowTicks)
+}
+
+// runLedger runs one cell under gov with a fresh tracer attached.
+// Tracers are single-run objects, so the studies run their cells one
+// at a time.
+func runLedger(cfg node.Config, prog *workload.Program, gov governor.Governor, opt harness.Options) (ledgerRun, error) {
+	opt.Spans = newTracer(gov)
+	res, err := harness.Run(cfg, prog, gov, opt)
+	if err != nil {
+		return ledgerRun{}, err
+	}
+	return reduceLedger(cfg, res, opt.Spans), nil
+}
+
+// reduceLedger reduces a finished run's tracer. Samples per window ≈
+// window ticks × tick period in engine steps × sockets; the balance
+// tolerance is sized from the whole run so it also covers the
+// run-level bucket.
+func reduceLedger(cfg node.Config, res harness.Result, tr *spans.Tracer) ledgerRun {
+	l := tr.Ledger()
+	samples := spans.StepsIn(time.Duration(res.RuntimeS*float64(time.Second)), time.Millisecond) * cfg.Sockets
+	return ledgerRun{
+		res:      res,
+		tr:       tr,
+		run:      wasteRow("run", l.Run()),
+		balanced: l.Balanced(spans.BalanceTolUlps(samples)),
+	}
+}
 
 // wasteRow flattens a ledger bucket into a report row.
 func wasteRow(scope string, e spans.EnergyAttr) report.WasteRow {

@@ -154,6 +154,25 @@ func (*Default) Interval() time.Duration { return time.Hour }
 // Invoke implements Governor (no-op).
 func (*Default) Invoke(time.Duration) time.Duration { return time.Hour }
 
+// Unmanaged is a node with no governor daemon at all: the fleet's
+// members without a factory and Table 2's idle baseline. Unlike
+// Default, whose Attach writes the uncore limit (through any fault
+// wrappers, where an injected MSR error would fail the run), it never
+// touches the hardware. It reports as "default".
+type Unmanaged struct{}
+
+// Name implements Governor.
+func (Unmanaged) Name() string { return "default" }
+
+// Attach implements Governor (no-op).
+func (Unmanaged) Attach(*Env) error { return nil }
+
+// Interval implements Governor; an unmanaged node never wakes up.
+func (Unmanaged) Interval() time.Duration { return time.Hour }
+
+// Invoke implements Governor (no-op).
+func (Unmanaged) Invoke(time.Duration) time.Duration { return 0 }
+
 // Static pins the uncore max limit at a fixed frequency for the whole
 // run — the paper's Figure 2 uses max (2.2 GHz) and min (0.8 GHz) pins
 // to bound the trade-off space.

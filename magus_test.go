@@ -63,6 +63,17 @@ func TestSystems(t *testing.T) {
 	}
 }
 
+// TestReproduceFigure4RejectsUnknownAppSet: only the three Intel
+// systems have a Figure 4 application set; any other system is an
+// error, not an empty figure.
+func TestReproduceFigure4RejectsUnknownAppSet(t *testing.T) {
+	for _, sys := range []string{"amd", "cpuonly"} {
+		if _, err := magus.ReproduceFigure4(sys, magus.QuickExperiments()); err == nil {
+			t.Errorf("ReproduceFigure4(%q) returned a nil error", sys)
+		}
+	}
+}
+
 func TestRunRepeatedTrimsOutliers(t *testing.T) {
 	cfg := magus.IntelA100()
 	prog, _ := magus.WorkloadByName("where")

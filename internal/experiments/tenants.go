@@ -74,9 +74,9 @@ func TenantStudy(system string, opt Options) (TenantStudyResult, error) {
 	out := TenantStudyResult{System: cfg.Name}
 	for _, sc := range TenantScenarios() {
 		for _, gov := range []string{"default", "magus"} {
-			spec := sc.Spec
+			mux := sc.Spec
 			lr, err := runLedger(cfg, nil, policy(cfg.Name, gov)(), harness.Options{
-				Seed: opt.Seed, Obs: opt.Obs, Tenants: &spec,
+				Seed: opt.Seed, Obs: opt.Obs, Tenants: &mux,
 			})
 			if err != nil {
 				return TenantStudyResult{}, fmt.Errorf("experiments: tenants %s/%s/%s: %w",

@@ -3,7 +3,10 @@
 // address map and bit-field encodings used by the paper (most
 // importantly MSR_UNCORE_RATIO_LIMIT 0x620 and the RAPL energy
 // counters) and a thread-safe simulated register space with per-core
-// and per-package scoping.
+// and per-package scoping. The space models only the registers listed
+// below: each bank is a fixed array with one slot per register of its
+// scope, in address order, and a mask of the slots ever written, so a
+// snapshot lists exactly those registers, sorted by address.
 //
 // The uncore ratio-limit encoding follows the example in §4 of the
 // paper: `wrmsr -p 0 0x620 0x0F001200` sets the max ratio to 0x12 (18 ×

@@ -33,16 +33,66 @@ const (
 	CoreScope
 )
 
-// scopeOf maps the modelled registers to their hardware scope.
-func scopeOf(reg uint32) (Scope, bool) {
-	switch reg {
-	case UncoreRatioLimit, UncorePerfStatus, RaplPowerUnit,
-		PkgEnergyStatus, PkgPowerLimit, PkgPowerInfo, DramEnergyStatus:
-		return PackageScope, true
-	case FixedCtrInstRetired, FixedCtrCPUCycles, Aperf, Mperf:
-		return CoreScope, true
+// The register file has one fixed slot per modelled register: a
+// register's slot is its index in its scope's address-ordered list.
+const (
+	pkgSlots  = 7
+	coreSlots = 4
+)
+
+var (
+	pkgAddrs  = [pkgSlots]uint32{RaplPowerUnit, PkgPowerLimit, PkgEnergyStatus, PkgPowerInfo, DramEnergyStatus, UncoreRatioLimit, UncorePerfStatus}
+	coreAddrs = [coreSlots]uint32{Mperf, Aperf, FixedCtrInstRetired, FixedCtrCPUCycles}
+)
+
+// Slots of the two RAPL energy counters, which BumpEnergy addresses
+// directly (TestSlotLayout pins them to slotOf).
+const (
+	pkgEnergySlot  = 2
+	dramEnergySlot = 4
+)
+
+// slotOf maps a modelled register to its hardware scope and its slot
+// in a bank of that scope.
+func slotOf(reg uint32) (Scope, int, bool) {
+	for i, a := range pkgAddrs {
+		if a == reg {
+			return PackageScope, i, true
+		}
 	}
-	return 0, false
+	for i, a := range coreAddrs {
+		if a == reg {
+			return CoreScope, i, true
+		}
+	}
+	return 0, 0, false
+}
+
+// pkgBank and coreBank are one register bank each. written has bit i
+// set once slot i has been stored to: a snapshot lists exactly the
+// registers that were ever set, as a sparse register file would.
+type pkgBank struct {
+	val     [pkgSlots]uint64
+	written uint8
+}
+
+type coreBank struct {
+	val     [coreSlots]uint64
+	written uint8
+}
+
+// cell is one resolved register slot.
+type cell struct {
+	val     *uint64
+	written *uint8
+	bit     uint8
+}
+
+func (c cell) get() uint64 { return *c.val }
+
+func (c cell) set(v uint64) {
+	*c.val = v
+	*c.written |= c.bit
 }
 
 // readOnly reports registers that reject writes from software.
@@ -57,7 +107,10 @@ func readOnly(reg uint32) bool {
 
 // Space is the simulated MSR register file for one node: one register
 // bank per socket for package-scope registers and one per logical CPU
-// for core-scope registers. It is safe for concurrent use.
+// for core-scope registers. A bank is a fixed array with one slot per
+// modelled register of its scope (7 package, 4 core) plus a bitmask of
+// the slots ever written, so an access is an index, not a map lookup.
+// It is safe for concurrent use.
 //
 // The simulator backing a node updates counters through the Poke/Bump
 // methods (which bypass the read-only check, as hardware does); runtimes
@@ -66,8 +119,8 @@ type Space struct {
 	mu          sync.Mutex
 	sockets     int
 	cpusPerSock int
-	pkgRegs     []map[uint32]uint64 // per socket
-	coreRegs    []map[uint32]uint64 // per cpu
+	pkg         []pkgBank  // per socket
+	core        []coreBank // per cpu
 
 	// limGen counts writes (Write or Poke) to the software-controlled
 	// limit registers (UncoreRatioLimit, PkgPowerLimit). The node polls
@@ -94,16 +147,12 @@ func NewSpace(sockets, cpusPerSocket int) *Space {
 	s := &Space{
 		sockets:     sockets,
 		cpusPerSock: cpusPerSocket,
-		pkgRegs:     make([]map[uint32]uint64, sockets),
-		coreRegs:    make([]map[uint32]uint64, sockets*cpusPerSocket),
+		pkg:         make([]pkgBank, sockets),
+		core:        make([]coreBank, sockets*cpusPerSocket),
 	}
-	for i := range s.pkgRegs {
-		s.pkgRegs[i] = map[uint32]uint64{
-			RaplPowerUnit: EncodePowerUnit(DefaultPowerUnitExp, DefaultEnergyUnitExp, DefaultTimeUnitExp),
-		}
-	}
-	for i := range s.coreRegs {
-		s.coreRegs[i] = make(map[uint32]uint64)
+	for i := range s.pkg {
+		s.mustCell(s.FirstCPUOf(i), RaplPowerUnit, "NewSpace").
+			set(EncodePowerUnit(DefaultPowerUnitExp, DefaultEnergyUnitExp, DefaultTimeUnitExp))
 	}
 	return s
 }
@@ -128,11 +177,11 @@ func (s *Space) Read(cpu int, reg uint32) (uint64, error) {
 	if s.failRead != nil {
 		return 0, s.failRead
 	}
-	bank, err := s.bank(cpu, reg)
+	c, err := s.cell(cpu, reg)
 	if err != nil {
 		return 0, err
 	}
-	return bank[reg], nil
+	return c.get(), nil
 }
 
 // Write implements Device. Writes to read-only registers fail, as on
@@ -146,11 +195,11 @@ func (s *Space) Write(cpu int, reg uint32, val uint64) error {
 	if readOnly(reg) {
 		return fmt.Errorf("%w: %#x", ErrReadOnly, reg)
 	}
-	bank, err := s.bank(cpu, reg)
+	c, err := s.cell(cpu, reg)
 	if err != nil {
 		return err
 	}
-	bank[reg] = val
+	c.set(val)
 	if limitReg(reg) {
 		s.limGen.Add(1)
 	}
@@ -162,11 +211,7 @@ func (s *Space) Write(cpu int, reg uint32, val uint64) error {
 func (s *Space) Poke(cpu int, reg uint32, val uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bank, err := s.bank(cpu, reg)
-	if err != nil {
-		panic(fmt.Sprintf("msr: Poke(%d, %#x): %v", cpu, reg, err))
-	}
-	bank[reg] = val
+	s.mustCell(cpu, reg, "Poke").set(val)
 	if limitReg(reg) {
 		s.limGen.Add(1)
 	}
@@ -182,11 +227,7 @@ func (s *Space) LimitGen() uint64 { return s.limGen.Load() }
 func (s *Space) Peek(cpu int, reg uint32) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bank, err := s.bank(cpu, reg)
-	if err != nil {
-		panic(fmt.Sprintf("msr: Peek(%d, %#x): %v", cpu, reg, err))
-	}
-	return bank[reg]
+	return s.mustCell(cpu, reg, "Peek").get()
 }
 
 // Bump adds delta to a counter register (hardware side), wrapping
@@ -194,15 +235,12 @@ func (s *Space) Peek(cpu int, reg uint32) uint64 {
 func (s *Space) Bump(cpu int, reg uint32, delta uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bank, err := s.bank(cpu, reg)
-	if err != nil {
-		panic(fmt.Sprintf("msr: Bump(%d, %#x): %v", cpu, reg, err))
-	}
-	v := bank[reg] + delta
+	c := s.mustCell(cpu, reg, "Bump")
+	v := c.get() + delta
 	if reg == PkgEnergyStatus || reg == DramEnergyStatus {
 		v &= EnergyCounterMask
 	}
-	bank[reg] = v
+	c.set(v)
 }
 
 // BumpEnergy adds deltas to both RAPL energy-status counters of cpu's
@@ -214,17 +252,19 @@ func (s *Space) BumpEnergy(cpu int, pkgDelta, dramDelta uint64) {
 	if pkgDelta == 0 && dramDelta == 0 {
 		return
 	}
+	if cpu < 0 || cpu >= s.CPUs() {
+		panic(fmt.Sprintf("msr: BumpEnergy(%d): %v: %d", cpu, ErrBadCPU, cpu))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bank, err := s.bank(cpu, PkgEnergyStatus)
-	if err != nil {
-		panic(fmt.Sprintf("msr: BumpEnergy(%d): %v", cpu, err))
-	}
+	b := &s.pkg[s.SocketOf(cpu)]
 	if pkgDelta != 0 {
-		bank[PkgEnergyStatus] = (bank[PkgEnergyStatus] + pkgDelta) & EnergyCounterMask
+		b.val[pkgEnergySlot] = (b.val[pkgEnergySlot] + pkgDelta) & EnergyCounterMask
+		b.written |= 1 << pkgEnergySlot
 	}
 	if dramDelta != 0 {
-		bank[DramEnergyStatus] = (bank[DramEnergyStatus] + dramDelta) & EnergyCounterMask
+		b.val[dramEnergySlot] = (b.val[dramEnergySlot] + dramDelta) & EnergyCounterMask
+		b.written |= 1 << dramEnergySlot
 	}
 }
 
@@ -242,17 +282,29 @@ func (s *Space) FailWrites(err error) {
 	s.failWrite = err
 }
 
-// bank resolves the register bank for (cpu, reg). Caller holds mu.
-func (s *Space) bank(cpu int, reg uint32) (map[uint32]uint64, error) {
+// cell resolves the register slot for (cpu, reg). Caller holds mu.
+func (s *Space) cell(cpu int, reg uint32) (cell, error) {
 	if cpu < 0 || cpu >= s.CPUs() {
-		return nil, fmt.Errorf("%w: %d", ErrBadCPU, cpu)
+		return cell{}, fmt.Errorf("%w: %d", ErrBadCPU, cpu)
 	}
-	scope, ok := scopeOf(reg)
+	scope, slot, ok := slotOf(reg)
 	if !ok {
-		return nil, fmt.Errorf("%w: %#x", ErrUnknownReg, reg)
+		return cell{}, fmt.Errorf("%w: %#x", ErrUnknownReg, reg)
 	}
 	if scope == PackageScope {
-		return s.pkgRegs[s.SocketOf(cpu)], nil
+		b := &s.pkg[s.SocketOf(cpu)]
+		return cell{&b.val[slot], &b.written, 1 << slot}, nil
 	}
-	return s.coreRegs[cpu], nil
+	b := &s.core[cpu]
+	return cell{&b.val[slot], &b.written, 1 << slot}, nil
+}
+
+// mustCell is cell for the hardware side, where a bad address is a
+// simulator bug. Caller holds mu.
+func (s *Space) mustCell(cpu int, reg uint32, op string) cell {
+	c, err := s.cell(cpu, reg)
+	if err != nil {
+		panic(fmt.Sprintf("msr: %s(%d, %#x): %v", op, cpu, reg, err))
+	}
+	return c
 }

@@ -2,6 +2,7 @@ package msr
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -210,5 +211,103 @@ func TestBumpEnergy(t *testing.T) {
 	s.BumpEnergy(0, 2, 0)
 	if v := s.Peek(0, PkgEnergyStatus); v != 1 {
 		t.Fatalf("wrapped pkg energy = %d, want 1", v)
+	}
+}
+
+// TestSlotLayout pins the fixed-slot bank layout: each scope's slots
+// follow register address order, slotOf agrees with the lists, and the
+// slots BumpEnergy addresses directly are the energy counters'.
+func TestSlotLayout(t *testing.T) {
+	for _, l := range []struct {
+		scope Scope
+		addrs []uint32
+	}{{PackageScope, pkgAddrs[:]}, {CoreScope, coreAddrs[:]}} {
+		for i, reg := range l.addrs {
+			if i > 0 && reg <= l.addrs[i-1] {
+				t.Errorf("register %#x at slot %d is not in address order", reg, i)
+			}
+			if sc, slot, ok := slotOf(reg); !ok || sc != l.scope || slot != i {
+				t.Errorf("slotOf(%#x) = %v, %d, %v; want %v, %d", reg, sc, slot, ok, l.scope, i)
+			}
+		}
+	}
+	if _, slot, _ := slotOf(PkgEnergyStatus); slot != pkgEnergySlot {
+		t.Errorf("PkgEnergyStatus slot %d, pkgEnergySlot %d", slot, pkgEnergySlot)
+	}
+	if _, slot, _ := slotOf(DramEnergyStatus); slot != dramEnergySlot {
+		t.Errorf("DramEnergyStatus slot %d, dramEnergySlot %d", slot, dramEnergySlot)
+	}
+	if _, _, ok := slotOf(0x123); ok {
+		t.Error("slotOf accepted an unmodelled register")
+	}
+}
+
+// TestStateRestoreRoundTrip checks that a snapshot lists exactly the
+// written registers in address order and that Restore reproduces it.
+func TestStateRestoreRoundTrip(t *testing.T) {
+	s := NewSpace(2, 2)
+	s.Poke(0, UncoreRatioLimit, 0x0F08)
+	s.BumpEnergy(2, 7, 0) // DRAM delta zero: its register stays unwritten
+	s.Poke(3, FixedCtrCPUCycles, 11)
+	s.Poke(3, Mperf, 5)
+	s.Bump(1, FixedCtrInstRetired, 9)
+	st := s.State()
+
+	want := SpaceState{
+		Pkg: []BankState{
+			{Regs: []RegVal{{RaplPowerUnit, s.Peek(0, RaplPowerUnit)}, {UncoreRatioLimit, 0x0F08}}},
+			{Regs: []RegVal{{RaplPowerUnit, s.Peek(2, RaplPowerUnit)}, {PkgEnergyStatus, 7}}},
+		},
+		Core: []BankState{
+			{Regs: []RegVal{}},
+			{Regs: []RegVal{{FixedCtrInstRetired, 9}}},
+			{Regs: []RegVal{}},
+			{Regs: []RegVal{{Mperf, 5}, {FixedCtrCPUCycles, 11}}},
+		},
+		LimGen: 1,
+	}
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("State() = %+v\nwant %+v", st, want)
+	}
+
+	r := NewSpace(2, 2)
+	r.Poke(1, Aperf, 99) // overwritten: not in the snapshot
+	if err := r.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.State(); !reflect.DeepEqual(got, st) {
+		t.Fatalf("restored State() = %+v\nwant %+v", got, st)
+	}
+	if r.LimitGen() != s.LimitGen() {
+		t.Fatalf("LimitGen = %d, want %d", r.LimitGen(), s.LimitGen())
+	}
+}
+
+// TestRestoreRejectsBadRegisters checks that Restore refuses a register
+// the space does not model, one filed under the wrong scope, or one
+// listed twice, and leaves the space as it was.
+func TestRestoreRejectsBadRegisters(t *testing.T) {
+	for name, mutate := range map[string]func(*SpaceState){
+		"unknown":        func(st *SpaceState) { st.Core[0].Regs = append(st.Core[0].Regs, RegVal{Reg: 0x123}) },
+		"core in pkg":    func(st *SpaceState) { st.Pkg[1].Regs = append(st.Pkg[1].Regs, RegVal{Reg: Aperf}) },
+		"pkg in core":    func(st *SpaceState) { st.Core[1].Regs = append(st.Core[1].Regs, RegVal{Reg: UncoreRatioLimit}) },
+		"listed twice":   func(st *SpaceState) { st.Pkg[0].Regs = append(st.Pkg[0].Regs, st.Pkg[0].Regs[0]) },
+		"short topology": func(st *SpaceState) { st.Core = st.Core[:1] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := NewSpace(2, 2)
+			s.Poke(0, FixedCtrInstRetired, 1)
+			st := s.State()
+			mutate(&st)
+			r := NewSpace(2, 2)
+			r.Poke(2, UncoreRatioLimit, 0x0F08)
+			before := r.State()
+			if err := r.Restore(st); err == nil {
+				t.Fatal("Restore accepted a malformed snapshot")
+			}
+			if got := r.State(); !reflect.DeepEqual(got, before) {
+				t.Fatalf("failed Restore changed the space:\n%+v\nwant %+v", got, before)
+			}
+		})
 	}
 }

@@ -12,7 +12,8 @@ import (
 )
 
 // PState is one core's autonomous frequency controller. The zero value
-// is unusable; construct with New.
+// is unusable; construct with New. It holds no pointers, so a node
+// keeps one per core in a single slice of values.
 type PState struct {
 	MinGHz  float64
 	BaseGHz float64
@@ -24,12 +25,14 @@ type PState struct {
 	cur float64
 }
 
-// New returns a controller initialised at the minimum frequency.
-func New(minGHz, baseGHz, maxGHz float64, tau time.Duration) *PState {
+// New returns a controller initialised at the minimum frequency. It
+// panics on a frequency range that is not 0 < min <= base <= max or a
+// non-positive tau.
+func New(minGHz, baseGHz, maxGHz float64, tau time.Duration) PState {
 	if !(0 < minGHz && minGHz <= baseGHz && baseGHz <= maxGHz) || tau <= 0 {
 		panic(fmt.Sprintf("cpufreq: invalid pstate %v/%v/%v tau=%v", minGHz, baseGHz, maxGHz, tau))
 	}
-	return &PState{MinGHz: minGHz, BaseGHz: baseGHz, MaxGHz: maxGHz, Tau: tau, cur: minGHz}
+	return PState{MinGHz: minGHz, BaseGHz: baseGHz, MaxGHz: maxGHz, Tau: tau, cur: minGHz}
 }
 
 // Target returns the steady-state frequency for a utilisation in [0,1]:

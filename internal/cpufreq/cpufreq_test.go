@@ -6,7 +6,10 @@ import (
 	"time"
 )
 
-func newTest() *PState { return New(0.8, 2.3, 3.4, 5*time.Millisecond) }
+func newTest() *PState {
+	p := New(0.8, 2.3, 3.4, 5*time.Millisecond)
+	return &p
+}
 
 func TestTargetShape(t *testing.T) {
 	p := newTest()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/spear-repro/magus/internal/core"
+	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/sim"
 	"github.com/spear-repro/magus/internal/workload"
@@ -60,5 +61,42 @@ func BenchmarkHotPathSpansDisabledTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.RunFor(step)
+	}
+}
+
+// BenchmarkHotPathUPSInvoke measures one steady-state UPS decision
+// cycle on the 80-CPU Intel+A100 node: a RAPL sample and a sweep of
+// both fixed counters on every CPU through the node's MSR device. Each
+// op is one Node.Step followed by one Invoke, because the node
+// publishes its counters on the first read after a step; without the
+// step the sweep would read an already-published register file. The
+// daemon-busy charge is dropped: 300 ms of modelled invocation work per
+// 1 ms step would grow the node's daemon queue without bound.
+func BenchmarkHotPathUPSInvoke(b *testing.B) {
+	n := node.New(node.IntelA100())
+	n.SetDemand(workload.Demand{MemGBs: 200, CPUBusyCores: 20, MemBoundFrac: 0.6})
+	env, _, err := buildEnv(n, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	env.Charge = nil
+	ups := governor.NewUPS(governor.DefaultUPSConfig())
+	if err := ups.Attach(env); err != nil {
+		b.Fatal(err)
+	}
+	now := time.Duration(0)
+	op := func() {
+		now += time.Millisecond
+		n.Step(now, time.Millisecond)
+		ups.Invoke(now)
+	}
+	for i := 0; i < 100; i++ { // past the baseline cycles and phase detection
+		op()
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }

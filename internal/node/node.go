@@ -45,10 +45,15 @@ type Node struct {
 	drmEnergyAcc []float64
 
 	// Per-core state.
-	pstates  []*cpufreq.PState
+	pstates  []cpufreq.PState
 	coreUtil []float64
 	instAcc  []float64 // instructions retired (float accumulator)
 	cycAcc   []float64 // unhalted cycles
+	// ctrsMoved reports that the accumulators may differ from the fixed
+	// counters last published to the register file. Step, New and
+	// Restore set it; flushCoreCounters clears it, so a governor's
+	// per-core sweep publishes every CPU once instead of once per read.
+	ctrsMoved bool
 
 	gpus []*gpuState
 
@@ -105,7 +110,7 @@ func New(cfg Config) *Node {
 		drmPowerW:    make([]float64, cfg.Sockets),
 		pkgEnergyAcc: make([]float64, cfg.Sockets),
 		drmEnergyAcc: make([]float64, cfg.Sockets),
-		pstates:      make([]*cpufreq.PState, cfg.Sockets*cfg.CoresPerSocket),
+		pstates:      make([]cpufreq.PState, cfg.Sockets*cfg.CoresPerSocket),
 		coreUtil:     make([]float64, cfg.Sockets*cfg.CoresPerSocket),
 		instAcc:      make([]float64, cfg.Sockets*cfg.CoresPerSocket),
 		cycAcc:       make([]float64, cfg.Sockets*cfg.CoresPerSocket),
@@ -119,6 +124,7 @@ func New(cfg Config) *Node {
 		limMin:       make([]float64, cfg.Sockets),
 		pl1W:         make([]float64, cfg.Sockets),
 		pl1On:        make([]bool, cfg.Sockets),
+		ctrsMoved:    true,
 	}
 	for s := 0; s < cfg.Sockets; s++ {
 		n.uncoreEff[s] = cfg.UncoreMaxGHz
@@ -132,8 +138,9 @@ func New(cfg Config) *Node {
 			uint64(cfg.TDPWatts/0.125)) // power units of 1/8 W
 	}
 	n.refreshLimits()
+	ps := cpufreq.New(cfg.CoreMinGHz, cfg.CoreBaseGHz, cfg.CoreMaxGHz, cfg.CoreTau)
 	for i := range n.pstates {
-		n.pstates[i] = cpufreq.New(cfg.CoreMinGHz, cfg.CoreBaseGHz, cfg.CoreMaxGHz, cfg.CoreTau)
+		n.pstates[i] = ps
 	}
 	for _, g := range cfg.GPUs {
 		n.gpus = append(n.gpus, &gpuState{
@@ -297,6 +304,7 @@ func (n *Node) refreshLimits() {
 // Step implements sim.Component.
 func (n *Node) Step(now, dt time.Duration) {
 	dtSec := dt.Seconds()
+	n.ctrsMoved = true
 	if g := n.space.LimitGen(); g != n.limGen {
 		n.refreshLimits()
 	}
@@ -549,8 +557,14 @@ func (n *Node) relPowMemo(rel float64) float64 {
 }
 
 // flushCoreCounters publishes the per-core accumulators into the
-// register file (called before runtime reads).
+// register file (called before runtime reads of the fixed counters).
+// Only the first read after the counters moved publishes; the rest of
+// the sweep would store the same values again.
 func (n *Node) flushCoreCounters() {
+	if !n.ctrsMoved {
+		return
+	}
+	n.ctrsMoved = false
 	for cpu := range n.instAcc {
 		n.space.Poke(cpu, msr.FixedCtrInstRetired, uint64(n.instAcc[cpu]))
 		n.space.Poke(cpu, msr.FixedCtrCPUCycles, uint64(n.cycAcc[cpu]))
@@ -561,17 +575,26 @@ func (n *Node) flushCoreCounters() {
 // counters see current accumulator state.
 type nodeDevice struct{ n *Node }
 
+// fixedCounter reports the core-scope counters the node publishes from
+// its accumulators.
+func fixedCounter(reg uint32) bool {
+	return reg == msr.FixedCtrInstRetired || reg == msr.FixedCtrCPUCycles
+}
+
 // Read implements msr.Device.
 func (d nodeDevice) Read(cpu int, reg uint32) (uint64, error) {
-	switch reg {
-	case msr.FixedCtrInstRetired, msr.FixedCtrCPUCycles:
+	if fixedCounter(reg) {
 		d.n.flushCoreCounters()
 	}
 	return d.n.space.Read(cpu, reg)
 }
 
-// Write implements msr.Device.
+// Write implements msr.Device. A write to a fixed counter is
+// overwritten by the next read's publish, as it always was.
 func (d nodeDevice) Write(cpu int, reg uint32, val uint64) error {
+	if fixedCounter(reg) {
+		d.n.ctrsMoved = true
+	}
 	return d.n.space.Write(cpu, reg, val)
 }
 

@@ -165,12 +165,13 @@ func (n *Node) Restore(st State) error {
 	copy(n.drmPowerW, st.DrmPowerW)
 	copy(n.pkgEnergyAcc, st.PkgEnergyAcc)
 	copy(n.drmEnergyAcc, st.DrmEnergyAcc)
-	for i, p := range n.pstates {
-		p.SetCurrent(st.CoreGHz[i])
+	for i := range n.pstates {
+		n.pstates[i].SetCurrent(st.CoreGHz[i])
 	}
 	copy(n.coreUtil, st.CoreUtil)
 	copy(n.instAcc, st.InstAcc)
 	copy(n.cycAcc, st.CycAcc)
+	n.ctrsMoved = true
 	for i, g := range n.gpus {
 		g.clock.SetCurrent(st.GPUs[i].ClockMHz)
 		g.smUtil = st.GPUs[i].SMUtil

@@ -27,6 +27,8 @@ type Reader struct {
 
 	totalPkgJ  []float64
 	totalDramJ []float64
+
+	out Sample // Sample's result buffers, reused by every call
 }
 
 // New builds a reader. firstCPU maps a socket to a CPU that can address
@@ -45,6 +47,13 @@ func New(dev msr.Device, sockets int, firstCPU func(int) int) (*Reader, error) {
 		lastDram:   make([]uint64, sockets),
 		totalPkgJ:  make([]float64, sockets),
 		totalDramJ: make([]float64, sockets),
+	}
+	buf := make([]float64, 4*sockets)
+	r.out = Sample{
+		PkgJ:  buf[:sockets:sockets],
+		DramJ: buf[sockets : 2*sockets : 2*sockets],
+		PkgW:  buf[2*sockets : 3*sockets : 3*sockets],
+		DramW: buf[3*sockets:],
 	}
 	for s := 0; s < sockets; s++ {
 		raw, err := dev.Read(firstCPU(s), msr.RaplPowerUnit)
@@ -94,14 +103,15 @@ func sum(xs []float64) float64 {
 
 // Sample reads all counters at virtual time now and returns the energy
 // and average power since the previous call. The first call returns a
-// zero sample and establishes the baseline.
+// zero sample and establishes the baseline. The returned slices belong
+// to the reader and hold their values until the next call, so a
+// governor sampling every cycle allocates nothing.
 func (r *Reader) Sample(now time.Duration) (Sample, error) {
-	out := Sample{
-		PkgJ:  make([]float64, r.sockets),
-		DramJ: make([]float64, r.sockets),
-		PkgW:  make([]float64, r.sockets),
-		DramW: make([]float64, r.sockets),
-	}
+	out := r.out
+	clear(out.PkgJ)
+	clear(out.DramJ)
+	clear(out.PkgW)
+	clear(out.DramW)
 	elapsed := now - r.lastAt
 	for s := 0; s < r.sockets; s++ {
 		cpu := r.firstCPU(s)

@@ -120,12 +120,23 @@ func policy(system, name string) harness.GovernorFactory {
 	panic(fmt.Sprintf("experiments: unknown policy %q", name))
 }
 
-// mustProgram resolves a catalog workload or panics (experiment tables
-// are static; a missing name is a programming error).
-func mustProgram(name string) *workload.Program {
+// program resolves a catalog workload. Drivers that take an
+// application name from their caller check it here before building any
+// cell.
+func program(name string) (*workload.Program, error) {
 	p, ok := workload.ByName(name)
 	if !ok {
-		panic(fmt.Sprintf("experiments: unknown workload %q", name))
+		return nil, fmt.Errorf("experiments: unknown workload %q", name)
+	}
+	return p, nil
+}
+
+// mustProgram resolves a workload from a static driver table, where a
+// missing name is a programming error, or one a driver already checked.
+func mustProgram(name string) *workload.Program {
+	p, err := program(name)
+	if err != nil {
+		panic(err)
 	}
 	return p
 }

@@ -8,6 +8,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -398,12 +399,52 @@ func TestTable2Observed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := opt.Obs.Registry().Counter("magus_runs_total", "").Value(); n != 6 {
+	reg := opt.Obs.Registry()
+	if n := reg.Counter("magus_runs_total", "").Value(); n != 6 {
 		t.Errorf("magus_runs_total = %v, want 6 idle runs", n)
+	}
+	// The overhead probe is transparent to observers: MAGUS's decision
+	// cycles and UPS's counter sweeps reach the registry.
+	var decisions float64
+	for _, o := range []string{"warmup", "missed", "acted", "hold"} {
+		decisions += reg.CounterVec("magus_decisions_total", "", "outcome").With(o).Value()
+	}
+	if decisions == 0 {
+		t.Error("observed Table 2 reports no MAGUS decisions")
+	}
+	if n := reg.Counter("magus_governor_invocations_total", "").Value(); n <= decisions {
+		t.Errorf("magus_governor_invocations_total = %v, want UPS invocations beyond %v MAGUS decisions", n, decisions)
+	}
+	if n := reg.Counter("magus_msr_reads_total", "").Value(); n == 0 {
+		t.Error("observed Table 2 reports no UPS counter-sweep reads")
 	}
 	a, _ := json.Marshal(plain)
 	b, _ := json.Marshal(observed)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("observed Table 2 differs from the unobserved one:\n%s\n%s", b, a)
+	}
+}
+
+// TestUnknownWorkloadIsAnError checks that every driver taking an
+// application name from its caller refuses an unknown one with an
+// error instead of panicking inside a cell.
+func TestUnknownWorkloadIsAnError(t *testing.T) {
+	opt := Quick()
+	for name, run := range map[string]func() error{
+		"Figure7":    func() error { _, err := Figure7("bogus", opt); return err },
+		"NoiseStudy": func() error { _, err := NoiseStudy("bogus", opt); return err },
+		"WasteStudy": func() error { _, err := WasteStudy("Intel+A100", "bogus", opt); return err },
+		"FaultSweep": func() error { _, err := FaultSweep("bogus", nil, opt); return err },
+		"Tournament": func() error {
+			_, err := Tournament(TournamentOptions{Apps: []string{"bogus"}})
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			err := run()
+			if err == nil || !strings.Contains(err.Error(), `unknown workload "bogus"`) {
+				t.Fatalf("err = %v, want an unknown-workload error", err)
+			}
+		})
 	}
 }

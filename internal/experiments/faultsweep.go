@@ -46,6 +46,9 @@ func FaultSweep(app string, plans []string, opt Options) (FaultSweepResult, erro
 	if err != nil {
 		return FaultSweepResult{}, err
 	}
+	if _, err := program(app); err != nil {
+		return FaultSweepResult{}, err
+	}
 	cfg, err := harness.SystemByName("Intel+A100")
 	if err != nil {
 		return FaultSweepResult{}, err

@@ -228,6 +228,9 @@ func Figure7(app string, opt Options) (Figure7Result, error) {
 	if err != nil {
 		return Figure7Result{}, err
 	}
+	if _, err := program(app); err != nil {
+		return Figure7Result{}, err
+	}
 	cfg := node.IntelA100()
 	grid := figure7Grid()
 	def := core.DefaultConfig()

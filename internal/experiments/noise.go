@@ -31,6 +31,9 @@ func NoiseStudy(app string, opt Options) (NoiseStudyResult, error) {
 	if err != nil {
 		return NoiseStudyResult{}, err
 	}
+	if _, err := program(app); err != nil {
+		return NoiseStudyResult{}, err
+	}
 	cfg, err := harness.SystemByName("Intel+A100")
 	if err != nil {
 		return NoiseStudyResult{}, err

@@ -128,11 +128,14 @@ func (d discardWrites) Write(cpu int, reg uint32, val uint64) error {
 // monitoring and decision cost "excluding uncore scaling", so the
 // governor sees an MSR device that discards its uncore-limit writes
 // and the node's uncore state never changes. It counts the governor's
-// invocations.
+// invocations, and observers see through it to the governor.
 type idleOverhead struct {
 	governor.Governor
 	invocations uint64
 }
+
+// Inner returns the measured governor.
+func (g *idleOverhead) Inner() governor.Governor { return g.Governor }
 
 func (g *idleOverhead) Attach(env *governor.Env) error {
 	e := *env

@@ -177,9 +177,9 @@ func Tournament(opt TournamentOptions) (TournamentResult, error) {
 			return TournamentResult{}, err
 		}
 		for _, app := range opt.Apps {
-			prog, ok := workload.ByName(app)
-			if !ok {
-				return TournamentResult{}, fmt.Errorf("experiments: unknown workload %q", app)
+			prog, err := program(app)
+			if err != nil {
+				return TournamentResult{}, err
 			}
 			for _, fp := range opt.FaultPresets {
 				if fp != "" {

@@ -53,7 +53,10 @@ func WasteStudy(system, app string, opt Options) (WasteStudyResult, error) {
 	if err != nil {
 		return WasteStudyResult{}, err
 	}
-	prog := mustProgram(app)
+	prog, err := program(app)
+	if err != nil {
+		return WasteStudyResult{}, err
+	}
 	out := WasteStudyResult{System: cfg.Name, Workload: prog.Name}
 	for _, gov := range []string{"default", "magus", "ups"} {
 		lr, err := runLedger(cfg, prog, policy(cfg.Name, gov)(), harness.Options{Seed: opt.Seed, Obs: opt.Obs})

@@ -14,12 +14,13 @@ import (
 // engine component, the probe; with no sink armed there is neither
 // hook nor probe.
 
-// GovernorSurfaces is what observers read from a governor. A power cap
-// is transparent: every surface belongs to the policy beneath any
-// *governor.PowerCapped wrapper. Each function is nil when the policy
-// lacks it.
+// GovernorSurfaces is what observers read from a governor. A wrapper
+// that exposes Inner() governor.Governor (a *governor.PowerCapped, an
+// overhead probe) is transparent: every surface belongs to the policy
+// beneath all such wrappers. Each function is nil when the policy lacks
+// it.
 type GovernorSurfaces struct {
-	// Policy is the governor beneath any power cap.
+	// Policy is the governor beneath every wrapper.
 	Policy governor.Governor
 	// OnDecision registers a hook called with every decision cycle.
 	OnDecision func(func(core.Decision))
@@ -32,10 +33,14 @@ type GovernorSurfaces struct {
 }
 
 // LookupGovernor discovers gov's observable surfaces. It is the only
-// place the harness and the serve plane look beneath a power cap.
+// place the harness and the serve plane look beneath a wrapper.
 func LookupGovernor(gov governor.Governor) GovernorSurfaces {
-	if pc, ok := gov.(*governor.PowerCapped); ok {
-		gov = pc.Inner()
+	for {
+		w, ok := gov.(interface{ Inner() governor.Governor })
+		if !ok {
+			break
+		}
+		gov = w.Inner()
 	}
 	gs := GovernorSurfaces{Policy: gov}
 	if src, ok := gov.(interface{ OnDecision(func(core.Decision)) }); ok {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"github.com/spear-repro/magus/internal/node"
 	"github.com/spear-repro/magus/internal/obs"
+	"github.com/spear-repro/magus/internal/spans"
 )
 
 // TestFleetDistShardIdentity extends the shard byte-identity contract
@@ -150,6 +152,50 @@ func TestFleetDistExposition(t *testing.T) {
 	}
 	if page != *res.Dist {
 		t.Fatalf("/fleet page %+v != Result.Dist %+v", page, *res.Dist)
+	}
+}
+
+// TestFoldMemoMatchesDirectFold pins integrate's memos against the
+// unmemoised fold: after every tick of a shard whose members run, then
+// finish and settle, its sketches and waste ledger equal those built by
+// calling Decompose and Sketch.Add on the same node readings.
+func TestFoldMemoMatchesDirectFold(t *testing.T) {
+	specs, every, _, err := normalize(fleetSpecs(t, 6), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := newShard(specs, every, 64, Options{Waste: true, Dist: true})
+	if sh.buildErr != nil {
+		t.Fatal(sh.buildErr)
+	}
+	want := newDistSketches()
+	attrs := make([]spans.EnergyAttr, len(specs))
+	for sh.clock < 4*time.Second {
+		sh.tick()
+		for i, m := range sh.members {
+			n := m.run.Node()
+			cfg := &m.spec.Config
+			for s := 0; s < cfg.Sockets; s++ {
+				rel := n.UncoreFreqGHz(s) / cfg.UncoreMaxGHz
+				base, useful, waste := sh.models[i].Decompose(rel, n.AttainedGBsSocket(s))
+				attrs[i].Accumulate(sh.dtSec, base, useful, waste, n.UncorePowerW(s))
+				want[distUncoreRatio].Add(rel)
+				want[distWasteW].Add(waste)
+			}
+			want[distNodePowerW].Add(n.TotalPowerW())
+			want[distAttainedGBs].Add(n.AttainedGBs())
+		}
+		for d := range want {
+			if !reflect.DeepEqual(sh.sketches[d], want[d]) {
+				t.Fatalf("t=%v: sketch %s differs from the direct fold", sh.clock, distSpecs[d].metric)
+			}
+		}
+		if got := fmt.Sprint(sh.attrs); got != fmt.Sprint(attrs) {
+			t.Fatalf("t=%v: waste ledger differs from the direct fold", sh.clock)
+		}
+	}
+	if sh.nDone != len(specs) {
+		t.Fatalf("%d of %d members finished; the memo hits on settled members go untested", sh.nDone, len(specs))
 	}
 }
 

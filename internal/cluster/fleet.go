@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -117,6 +118,7 @@ type shard struct {
 	waste  bool
 	models []spans.PowerModel
 	attrs  []spans.EnergyAttr
+	folds  []foldMemo // per member, under Options.Waste or Options.Dist
 
 	// Fleet distribution sketches (Options.Dist), one per dimension.
 	dist     bool
@@ -165,6 +167,7 @@ func newShard(specs []NodeSpec, every time.Duration, sampleCap int, opt Options)
 		sh.members = append(sh.members, m)
 		if opt.Waste || opt.Dist {
 			sh.models = append(sh.models, harness.UncorePowerModel(spec.Config))
+			sh.folds = append(sh.folds, foldMemo{sockets: make([]sockMemo, spec.Config.Sockets)})
 		}
 	}
 	sh.block = getBlock(len(specs), sampleCap)
@@ -210,26 +213,72 @@ func (sh *shard) tick() {
 // fold it (Options.Dist). The ledger's float sequence is exactly the
 // historical integrateWaste path — sketch folding touches only
 // integer sketch state, so enabling Dist never perturbs the ledger.
+//
+// Decompose and the sketch bucket are pure functions of their inputs,
+// so each member socket keeps its last decomposition and each producer
+// its last bucket slot, keyed on the exact input bits: a settled member
+// repeats them tick after tick. The accumulations and the sketch
+// counts, n, min and max still run on every tick.
 func (sh *shard) integrate() {
 	for i, m := range sh.members {
 		n := m.run.Node()
 		cfg := &m.spec.Config
+		fm := &sh.folds[i]
 		for s := 0; s < cfg.Sockets; s++ {
 			rel := n.UncoreFreqGHz(s) / cfg.UncoreMaxGHz
-			base, useful, waste := sh.models[i].Decompose(rel, n.AttainedGBsSocket(s))
+			sm := &fm.sockets[s]
+			base, useful, waste := sm.decompose(&sh.models[i], rel, n.AttainedGBsSocket(s))
 			if sh.waste {
 				sh.attrs[i].Accumulate(sh.dtSec, base, useful, waste, n.UncorePowerW(s))
 			}
 			if sh.dist {
-				sh.sketches[distUncoreRatio].Add(rel)
-				sh.sketches[distWasteW].Add(waste)
+				sm.relSlot.add(sh.sketches[distUncoreRatio], rel)
+				sm.wasteSlot.add(sh.sketches[distWasteW], waste)
 			}
 		}
 		if sh.dist {
-			sh.sketches[distNodePowerW].Add(n.TotalPowerW())
-			sh.sketches[distAttainedGBs].Add(n.AttainedGBs())
+			fm.powerSlot.add(sh.sketches[distNodePowerW], n.TotalPowerW())
+			fm.attainedSlot.add(sh.sketches[distAttainedGBs], n.AttainedGBs())
 		}
 	}
+}
+
+// foldMemo is one member's integrate memo: the bucket slots of its two
+// per-member sketch producers and one sockMemo per socket.
+type foldMemo struct {
+	powerSlot, attainedSlot slotMemo
+	sockets                 []sockMemo
+}
+
+// sockMemo is one member socket's last decomposition, keyed on the bits
+// of (rel, attained), and the bucket slots of its two sketch producers.
+type sockMemo struct {
+	ok                  bool
+	relKey, attKey      uint64
+	base, useful, waste float64
+	relSlot, wasteSlot  slotMemo
+}
+
+func (m *sockMemo) decompose(model *spans.PowerModel, rel, attained float64) (base, useful, waste float64) {
+	if r, a := math.Float64bits(rel), math.Float64bits(attained); !m.ok || r != m.relKey || a != m.attKey {
+		m.base, m.useful, m.waste = model.Decompose(rel, attained)
+		m.ok, m.relKey, m.attKey = true, r, a
+	}
+	return m.base, m.useful, m.waste
+}
+
+// slotMemo is one producer's last sketch bucket slot, keyed on the
+// value's bits. The zero value is right for +0, whose slot is 0.
+type slotMemo struct {
+	key  uint64
+	slot int
+}
+
+func (m *slotMemo) add(sk *sketch.Sketch, v float64) {
+	if k := math.Float64bits(v); k != m.key {
+		m.key, m.slot = k, sketch.Slot(v)
+	}
+	sk.AddSlot(v, m.slot)
 }
 
 // sample records one grid point: each member's total power into the

@@ -100,3 +100,42 @@ func BenchmarkHotPathUPSInvoke(b *testing.B) {
 		op()
 	}
 }
+
+// BenchmarkHotPathQuietMemberTick measures one Steppable.Tick of a run
+// whose workload has finished and whose node has settled — the tick a
+// finished fleet member pays on every step until the fleet ends, which
+// is most fleet member-steps. Under the default (unmanaged) governor
+// every such tick is a quiet replay; MAGUS and UPS keep moving core 0
+// with daemon work, so most of their ticks still take the full path.
+func BenchmarkHotPathQuietMemberTick(b *testing.B) {
+	prog := &workload.Program{Name: "short", Phases: []workload.Phase{
+		{Name: "run", Duration: 400 * time.Millisecond, Mem: 0.5, Shape: workload.Constant,
+			Beta: 0.6, CPUBusyCores: 4, GPUSM: 0.8, GPUMem: 0.4, Jitter: 0.05},
+	}}
+	for _, tc := range []struct {
+		name string
+		gov  func() governor.Governor
+	}{
+		{"default", func() governor.Governor { return governor.Unmanaged{} }},
+		{"magus", func() governor.Governor { return core.New(core.DefaultConfig()) }},
+		{"ups", func() governor.Governor { return governor.NewUPS(governor.DefaultUPSConfig()) }},
+	} {
+		b.Run("gov="+tc.name, func(b *testing.B) {
+			st, err := NewSteppable(node.IntelA100(), prog, tc.gov(), Options{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for !st.WorkloadDone() {
+				st.Tick()
+			}
+			for i := 0; i < 3000; i++ { // let the idle node settle
+				st.Tick()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.Tick()
+			}
+		})
+	}
+}

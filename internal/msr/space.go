@@ -244,9 +244,8 @@ func (s *Space) Bump(cpu int, reg uint32, delta uint64) {
 }
 
 // BumpEnergy adds deltas to both RAPL energy-status counters of cpu's
-// package under a single lock acquisition — the node publishes package
-// and DRAM energy every simulation step, and two Bump calls per socket
-// per tick would double the lock traffic. Zero deltas are skipped
+// package under a single lock acquisition — the node publishes its
+// pending package and DRAM units together. Zero deltas are skipped
 // without touching the lock.
 func (s *Space) BumpEnergy(cpu int, pkgDelta, dramDelta uint64) {
 	if pkgDelta == 0 && dramDelta == 0 {

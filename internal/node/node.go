@@ -43,6 +43,13 @@ type Node struct {
 	drmPowerW    []float64
 	pkgEnergyAcc []float64 // fractional RAPL units not yet in the MSR
 	drmEnergyAcc []float64
+	// Whole RAPL units accumulated but not yet published to the energy
+	// status registers. A step adds to them without taking the register
+	// file's lock; flushEnergy publishes them before anything can read
+	// the registers (a device read or write of an energy register,
+	// State, Space). The counters wrap modulo 2^32, so one bump by the
+	// sum lands where the per-step bumps would have.
+	pending []energyUnits
 
 	// Per-core state.
 	pstates  []cpufreq.PState
@@ -54,6 +61,9 @@ type Node struct {
 	// Restore set it; flushCoreCounters clears it, so a governor's
 	// per-core sweep publishes every CPU once instead of once per read.
 	ctrsMoved bool
+	// quiet reports that the last full step moved no state but the
+	// accumulators; qDemand, qDt and qIPC below hold its inputs then.
+	quiet bool
 
 	gpus []*gpuState
 
@@ -88,10 +98,22 @@ type Node struct {
 	// relPow memo keyed on the exact bits of its input: cores sharing a
 	// utilisation history share bit-identical frequencies, so a step
 	// computes only a handful of distinct math.Pow values.
-	powKey [8]uint64
-	powVal [8]float64
-	powLen int
-	powIns int
+	powKey  [8]uint64
+	powVal  [8]float64
+	powLen  int
+	powIns  int
+	powMiss uint64 // memo misses ever; a miss mutates the memo
+
+	// The demand, step length and achieved IPC of the last full step,
+	// recorded when it left the node quiet. A step whose inputs match
+	// bit for bit would compute exactly what that step computed, so
+	// Step replays only its accumulations (see replay).
+	qDemand workload.Demand
+	qDt     time.Duration
+	qIPC    float64
+	// noReplay forces every step down the full path (tests compare the
+	// two paths bit for bit).
+	noReplay bool
 }
 
 // New builds a node from cfg with all controllers at their idle points
@@ -110,6 +132,7 @@ func New(cfg Config) *Node {
 		drmPowerW:    make([]float64, cfg.Sockets),
 		pkgEnergyAcc: make([]float64, cfg.Sockets),
 		drmEnergyAcc: make([]float64, cfg.Sockets),
+		pending:      make([]energyUnits, cfg.Sockets),
 		pstates:      make([]cpufreq.PState, cfg.Sockets*cfg.CoresPerSocket),
 		coreUtil:     make([]float64, cfg.Sockets*cfg.CoresPerSocket),
 		instAcc:      make([]float64, cfg.Sockets*cfg.CoresPerSocket),
@@ -154,8 +177,13 @@ func New(cfg Config) *Node {
 // Config returns the node's configuration.
 func (n *Node) Config() Config { return n.cfg }
 
-// Space exposes the raw simulated register file (tests, fault injection).
-func (n *Node) Space() *msr.Space { return n.space }
+// Space exposes the raw simulated register file (tests, fault
+// injection). It publishes pending RAPL energy first, so the registers
+// it shows are the ones an eager publish would have left.
+func (n *Node) Space() *msr.Space {
+	n.flushEnergy()
+	return n.space
+}
 
 // MSRDevice returns the device handle runtimes should use: it flushes
 // the node's counter accumulators into the register file before reads,
@@ -301,13 +329,84 @@ func (n *Node) refreshLimits() {
 	}
 }
 
-// Step implements sim.Component.
+// Step implements sim.Component. A step whose inputs — the demand, the
+// limit registers, dt and an empty daemon queue — equal the previous
+// step's bit for bit, after a previous step that moved no state but
+// the accumulators, only replays the accumulations: the full step would
+// recompute the same values from the same state (DESIGN.md §2).
 func (n *Node) Step(now, dt time.Duration) {
+	if n.canReplay(dt) {
+		n.replay(dt.Seconds())
+		return
+	}
+	n.step(dt)
+}
+
+// canReplay reports whether a step of dt may replay the last one.
+func (n *Node) canReplay(dt time.Duration) bool {
+	return n.quiet && dt == n.qDt && n.daemonHead == len(n.daemon) &&
+		n.space.LimitGen() == n.limGen && sameDemand(n.demand, n.qDemand)
+}
+
+// sameDemand compares two demands bit for bit: == would equate -0 with
+// +0, which can round differently downstream, and never equates NaNs.
+func sameDemand(a, b workload.Demand) bool {
+	return same(a.CPUBusyCores, b.CPUBusyCores) && same(a.MemGBs, b.MemGBs) &&
+		same(a.MemBoundFrac, b.MemBoundFrac) && same(a.GPUSMUtil, b.GPUSMUtil) &&
+		same(a.GPUMemUtil, b.GPUMemUtil) && same(a.NUMASkew, b.NUMASkew) &&
+		same(a.CPUIntensity, b.CPUIntensity)
+}
+
+// same reports bit equality.
+func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// replay performs exactly the accumulations of a full step whose
+// computed values all equal the previous step's, in the full step's
+// order and with its expressions: served GB, the counters of every
+// busy core, package/DRAM joules and RAPL units, and GPU energy.
+func (n *Node) replay(dtSec float64) {
+	n.ctrsMoved = true
+	for s := 0; s < n.cfg.Sockets; s++ {
+		n.servedGBSock[s] += n.attainedSock[s] * dtSec
+	}
+	n.servedGB += n.attained * dtSec
+	ipc := n.qIPC
+	for s := 0; s < n.cfg.Sockets; s++ {
+		base := s * n.cfg.CoresPerSocket
+		for cpu := base; cpu < base+n.maxActive[s]; cpu++ {
+			if util := n.coreUtil[cpu]; util > 0 {
+				cyc := n.pstates[cpu].Current() * 1e9 * util * dtSec
+				n.cycAcc[cpu] += cyc
+				n.instAcc[cpu] += cyc * ipc
+			}
+		}
+	}
+	for s := 0; s < n.cfg.Sockets; s++ {
+		pkg := n.pkgPowerW[s]
+		n.pkgJ += pkg * dtSec
+		n.drmJ += n.drmPowerW[s] * dtSec
+		n.accumulateEnergy(s, pkg, n.drmPowerW[s], dtSec)
+	}
+	for _, g := range n.gpus {
+		g.energyJ += g.powerW * dtSec
+		n.gpuJ += g.powerW * dtSec
+	}
+}
+
+// step is the full step. It records whether it moved any state other
+// than the accumulators, and its inputs, for the next Step to compare.
+func (n *Node) step(dt time.Duration) {
 	dtSec := dt.Seconds()
 	n.ctrsMoved = true
 	if g := n.space.LimitGen(); g != n.limGen {
 		n.refreshLimits()
 	}
+	// moved: this step changed state the next step reads. A drained
+	// daemon entry, a new P-state or uncore frequency, a memo miss and a
+	// republished status all count; refreshed limits do not, since the
+	// next step compares the limit generation itself.
+	moved := n.daemonHead < len(n.daemon)
+	misses := n.powMiss
 	// One blend factor per controller family: every core shares
 	// CoreTau and every socket shares UncoreTau, so the divisions are
 	// per-tick invariants, not per-core ones.
@@ -332,10 +431,15 @@ func (n *Node) Step(now, dt time.Duration) {
 		if target < n.limMin[s] {
 			target = n.limMin[s]
 		}
+		prev := n.uncoreEff[s]
 		n.uncoreEff[s] += (target - n.uncoreEff[s]) * uncAlpha
+		if !same(n.uncoreEff[s], prev) {
+			moved = true
+		}
 		if status := uint64(msr.HzToRatio(n.uncoreEff[s] * 1e9)); status != n.lastStatus[s] {
 			n.space.Poke(n.cpu0[s], msr.UncorePerfStatus, status)
 			n.lastStatus[s] = status
+			moved = true
 		}
 	}
 
@@ -429,13 +533,23 @@ func (n *Node) Step(now, dt time.Duration) {
 				break
 			}
 			cpu := base + c
+			prev := n.pstates[cpu].Current()
+			if !same(n.coreUtil[cpu], util) {
+				moved = true
+			}
 			n.coreUtil[cpu] = util
 			f := n.pstates[cpu].StepAlpha(util, coreAlpha)
+			if !same(f, prev) {
+				moved = true
+			}
 			if util > 0 {
 				cyc := f * 1e9 * util * dtSec
 				n.cycAcc[cpu] += cyc
 				n.instAcc[cpu] += cyc * ipc
 			}
+		}
+		if watermark != n.maxActive[s] {
+			moved = true
 		}
 		n.maxActive[s] = watermark
 	}
@@ -475,6 +589,7 @@ func (n *Node) Step(now, dt time.Duration) {
 		// The active limit is the TDP unless software set a lower PL1
 		// cap through MSR_PKG_POWER_LIMIT (RAPL power capping).
 		if n.cfg.TDPClamp {
+			prev := n.clampCeil[s]
 			limit := n.cfg.TDPWatts
 			if pl1 := n.pl1W[s]; n.pl1On[s] && pl1 > 0 && pl1 < limit {
 				limit = pl1
@@ -491,6 +606,9 @@ func (n *Node) Step(now, dt time.Duration) {
 					n.clampCeil[s] = n.cfg.UncoreMaxGHz
 				}
 			}
+			if !same(n.clampCeil[s], prev) {
+				moved = true
+			}
 		}
 	}
 
@@ -498,16 +616,23 @@ func (n *Node) Step(now, dt time.Duration) {
 	for _, g := range n.gpus {
 		g.smUtil = n.demand.GPUSMUtil
 		g.memUtil = n.demand.GPUMemUtil
-		g.clock.Step(g.smUtil, dt)
+		prev := g.clock.Current()
+		if !same(g.clock.Step(g.smUtil, dt), prev) {
+			moved = true
+		}
 		g.powerW = g.spec.Power.Power(g.smUtil, g.clock.Rel(), g.memUtil)
 		g.energyJ += g.powerW * dtSec
 		n.gpuJ += g.powerW * dtSec
 	}
+
+	n.quiet = !moved && n.powMiss == misses && !n.noReplay
+	if n.quiet {
+		n.qDemand, n.qDt, n.qIPC = n.demand, dt, ipc
+	}
 }
 
-// accumulateEnergy pushes joules into the socket's wrapping RAPL
-// counters, carrying fractional units between steps. Both counters are
-// published through one batched register-file operation.
+// accumulateEnergy adds joules to the socket's pending RAPL units,
+// carrying fractional units between steps; flushEnergy publishes them.
 func (n *Node) accumulateEnergy(s int, pkgW, drmW, dtSec float64) {
 	const unitsPerJoule = 16384 // 2^14, matching MSR_RAPL_POWER_UNIT default
 
@@ -521,7 +646,24 @@ func (n *Node) accumulateEnergy(s int, pkgW, drmW, dtSec float64) {
 	if du > 0 {
 		n.drmEnergyAcc[s] -= float64(du)
 	}
-	n.space.BumpEnergy(n.cpu0[s], pu, du)
+	n.pending[s].pkg += pu
+	n.pending[s].drm += du
+}
+
+// energyUnits is one socket's pending RAPL units.
+type energyUnits struct{ pkg, drm uint64 }
+
+// flushEnergy publishes the pending RAPL units, both counters of a
+// socket under one register-file lock. Σ pending is zero only when
+// every step's units were, so the registers' written bits are set
+// exactly when per-step bumps would have set them.
+func (n *Node) flushEnergy() {
+	for s, cpu := range n.cpu0 {
+		if p := n.pending[s]; p.pkg|p.drm != 0 {
+			n.space.BumpEnergy(cpu, p.pkg, p.drm)
+			n.pending[s] = energyUnits{}
+		}
+	}
 }
 
 // relPowMemo is relPow(rel, cfg.Core.FreqExp) behind a tiny
@@ -543,6 +685,7 @@ func (n *Node) relPowMemo(rel float64) float64 {
 			return n.powVal[i]
 		}
 	}
+	n.powMiss++
 	v := math.Pow(rel, n.cfg.Core.FreqExp)
 	if n.powLen < len(n.powKey) {
 		n.powKey[n.powLen] = key
@@ -571,8 +714,8 @@ func (n *Node) flushCoreCounters() {
 	}
 }
 
-// nodeDevice is the msr.Device runtimes use: reads of core-scope
-// counters see current accumulator state.
+// nodeDevice is the msr.Device runtimes use: reads of the counters the
+// node publishes lazily see current accumulator state.
 type nodeDevice struct{ n *Node }
 
 // fixedCounter reports the core-scope counters the node publishes from
@@ -581,19 +724,33 @@ func fixedCounter(reg uint32) bool {
 	return reg == msr.FixedCtrInstRetired || reg == msr.FixedCtrCPUCycles
 }
 
+// energyCounter reports the RAPL energy-status registers the node
+// publishes from its pending units.
+func energyCounter(reg uint32) bool {
+	return reg == msr.PkgEnergyStatus || reg == msr.DramEnergyStatus
+}
+
 // Read implements msr.Device.
 func (d nodeDevice) Read(cpu int, reg uint32) (uint64, error) {
-	if fixedCounter(reg) {
+	switch {
+	case fixedCounter(reg):
 		d.n.flushCoreCounters()
+	case energyCounter(reg):
+		d.n.flushEnergy()
 	}
 	return d.n.space.Read(cpu, reg)
 }
 
 // Write implements msr.Device. A write to a fixed counter is
-// overwritten by the next read's publish, as it always was.
+// overwritten by the next read's publish, as it always was; pending
+// energy is published before a write to an energy register, so the
+// write lands on the counter an eager publish would have left.
 func (d nodeDevice) Write(cpu int, reg uint32, val uint64) error {
-	if fixedCounter(reg) {
+	switch {
+	case fixedCounter(reg):
 		d.n.ctrsMoved = true
+	case energyCounter(reg):
+		d.n.flushEnergy()
 	}
 	return d.n.space.Write(cpu, reg, val)
 }

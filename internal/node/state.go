@@ -74,8 +74,9 @@ type State struct {
 	PowIns int
 }
 
-// State captures the node.
+// State captures the node, publishing pending RAPL energy first.
 func (n *Node) State() State {
+	n.flushEnergy()
 	st := State{
 		MSR:          n.space.State(),
 		UncoreEff:    append([]float64(nil), n.uncoreEff...),
@@ -165,6 +166,7 @@ func (n *Node) Restore(st State) error {
 	copy(n.drmPowerW, st.DrmPowerW)
 	copy(n.pkgEnergyAcc, st.PkgEnergyAcc)
 	copy(n.drmEnergyAcc, st.DrmEnergyAcc)
+	clear(n.pending)
 	for i := range n.pstates {
 		n.pstates[i].SetCurrent(st.CoreGHz[i])
 	}
@@ -207,5 +209,6 @@ func (n *Node) Restore(st State) error {
 	copy(n.powKey[:], st.PowKey)
 	copy(n.powVal[:], st.PowVal)
 	n.powIns = st.PowIns
+	n.quiet = false
 	return nil
 }

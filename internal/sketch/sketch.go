@@ -93,7 +93,27 @@ func (s *Sketch) Reset() {
 // beyond range clamps, so it is safe inside the fleet engine's
 // zero-alloc steady-state tick. NaN samples are ignored (a NaN would
 // poison min/max and cannot be ranked).
-func (s *Sketch) Add(v float64) {
+func (s *Sketch) Add(v float64) { s.AddSlot(v, Slot(v)) }
+
+// Slot returns the bucket Add files v under: 0 for the zero bucket,
+// k ≥ 1 for log bucket minIndex+k-1. It is a pure function of v's bits,
+// so a caller that folds the same value again and again may keep the
+// slot and call AddSlot, skipping the logarithm.
+func Slot(v float64) int {
+	if !(v >= MinValue) {
+		return 0
+	}
+	idx := int(math.Ceil(math.Log(v) * invLogGamma))
+	if idx < minIndex {
+		idx = minIndex
+	} else if idx > maxIndex {
+		idx = maxIndex
+	}
+	return idx - minIndex + 1
+}
+
+// AddSlot is Add(v) for a v whose Slot is slot.
+func (s *Sketch) AddSlot(v float64, slot int) {
 	if math.IsNaN(v) {
 		return
 	}
@@ -104,17 +124,11 @@ func (s *Sketch) Add(v float64) {
 	if v > s.max {
 		s.max = v
 	}
-	if v < MinValue {
+	if slot == 0 {
 		s.zero++
 		return
 	}
-	idx := int(math.Ceil(math.Log(v) * invLogGamma))
-	if idx < minIndex {
-		idx = minIndex
-	} else if idx > maxIndex {
-		idx = maxIndex
-	}
-	s.counts[idx-minIndex]++
+	s.counts[slot-1]++
 }
 
 // Merge folds o into s. Merging is commutative and associative

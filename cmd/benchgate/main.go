@@ -1,19 +1,26 @@
-// Command benchgate enforces the hot-path performance contract in CI.
-// It reads `go test -bench -benchmem` output on stdin, compares every
-// gated benchmark against the committed baseline (BENCH_hotpath.json),
-// and exits non-zero when a benchmark is missing, allocates more than
-// its pinned budget, or slows past the ns/op tolerance.
+// Command benchgate enforces the repository's performance contract in
+// CI. It reads `go test -bench -benchmem` output on stdin, compares
+// every gated benchmark against the committed baseline (the gate
+// section of BENCH.json), and exits non-zero when a benchmark is
+// missing, allocates more than its pinned budget, or slows past the
+// ns/op tolerance.
 //
-// Allocation counts are deterministic, so they gate exactly: the
-// zero-allocation benchmarks must report 0 allocs/op even at
-// -benchtime=1x. Wall-clock is noisy on shared CI runners — and wildly
-// so at one iteration — so the time gate is a wide catastrophe net
+// Allocation budgets gate exactly. testing reports allocs/op as the
+// process's mallocs during the timed region divided by the iteration
+// count, so the zero-allocation micro-benchmarks run at 1000
+// iterations: a stray runtime allocation (a new OS thread when the
+// world restarts after ReadMemStats, the scavenger's timer) then reads
+// 0, while one allocation per op still reads 1. Whole-run benchmarks
+// run once, with budgets that carry headroom. Wall-clock is noisy on
+// shared CI runners, so the time gate is a wide catastrophe net
 // (baseline × tolerance factor), not a benchstat-grade comparison.
 //
-// Usage:
+// Usage: pipe the benchmarks into benchgate. BENCH.json records the
+// full command as environment.command, and the bench job in
+// .github/workflows/ci.yml runs it:
 //
-//	go test -run '^$' -bench '^BenchmarkHotPath' -benchmem -benchtime=1x ./... |
-//	    go run ./cmd/benchgate -baseline BENCH_hotpath.json
+//	go test -run '^$' -bench <gated benchmarks> -benchmem -benchtime=<n>x <packages> |
+//	    go run ./cmd/benchgate
 package main
 
 import (
@@ -28,8 +35,8 @@ import (
 	"strconv"
 )
 
-// baselineFile mirrors the gate section of BENCH_hotpath.json; fields
-// outside "gate" are documentation and ignored here.
+// baselineFile mirrors the gate section of BENCH.json; the environment
+// and suites sections are documentation and ignored here.
 type baselineFile struct {
 	Gate struct {
 		NsToleranceFactor float64              `json:"ns_tolerance_factor"`
@@ -180,7 +187,7 @@ func run(baselinePath string, in io.Reader, out io.Writer) (int, error) {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_hotpath.json", "committed baseline with the gate section")
+	baselinePath := flag.String("baseline", "BENCH.json", "committed baseline with the gate section")
 	flag.Parse()
 
 	failures, err := run(*baselinePath, os.Stdin, os.Stdout)

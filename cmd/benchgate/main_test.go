@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -154,5 +155,55 @@ func TestBadBaselineRejected(t *testing.T) {
 	var out strings.Builder
 	if _, err := run(filepath.Join(t.TempDir(), "absent.json"), strings.NewReader(""), &out); err == nil {
 		t.Error("run accepted a nonexistent baseline path")
+	}
+}
+
+// TestCommittedGateFile loads the repository's BENCH.json: it parses,
+// carries exactly one tolerance factor (above 1, which loadBaseline
+// checks), and gates exactly the benchmarks the suites record results
+// for.
+func TestCommittedGateFile(t *testing.T) {
+	path := filepath.Join("..", "..", "BENCH.json")
+	base, err := loadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(raw), `"ns_tolerance_factor"`); n != 1 {
+		t.Errorf("%d ns_tolerance_factor keys, want 1", n)
+	}
+	var doc struct {
+		Suites []struct {
+			Name    string `json:"name"`
+			Results []struct {
+				Benchmark string `json:"benchmark"`
+			} `json:"results"`
+		} `json:"suites"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Suites) == 0 {
+		t.Fatal("no suites")
+	}
+	measured := map[string]bool{}
+	for _, s := range doc.Suites {
+		if len(s.Results) == 0 {
+			t.Errorf("suite %q records no results", s.Name)
+		}
+		for _, r := range s.Results {
+			measured[r.Benchmark] = true
+			if _, ok := base.Gate.Benchmarks[r.Benchmark]; !ok {
+				t.Errorf("suite %q: %s has results but no gate entry", s.Name, r.Benchmark)
+			}
+		}
+	}
+	for name := range base.Gate.Benchmarks {
+		if !measured[name] {
+			t.Errorf("%s is gated but no suite records results for it", name)
+		}
 	}
 }

@@ -3,11 +3,9 @@ package magus_test
 // Hot-path benchmark suite (docs/PERF.md). The per-layer benchmarks
 // live next to their packages (internal/sim, internal/workload,
 // internal/core, internal/node) under the same BenchmarkHotPath prefix;
-// this one closes the loop with the full cell. CI runs
-//
-//	go test -run '^$' -bench '^BenchmarkHotPath' -benchmem -benchtime=1x ./...
-//
-// and cmd/benchgate compares the output against BENCH_hotpath.json.
+// this one closes the loop with the full cell. CI runs it once
+// (-benchtime=1x) with the other whole-run benchmarks, and
+// cmd/benchgate compares the output against BENCH.json.
 
 import (
 	"testing"

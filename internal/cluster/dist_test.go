@@ -201,7 +201,7 @@ func TestFoldMemoMatchesDirectFold(t *testing.T) {
 
 // BenchmarkHotPathFleetSketchTick pins the steady-state shard tick
 // with distribution folding armed to zero allocations per op
-// (cmd/benchgate, BENCH_hotpath.json).
+// (cmd/benchgate, BENCH.json).
 func BenchmarkHotPathFleetSketchTick(b *testing.B) {
 	const n = 64
 	specs := make([]NodeSpec, n)

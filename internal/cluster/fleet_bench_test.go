@@ -42,7 +42,8 @@ var benchSink Result
 // BenchmarkFleetSteps measures whole-run throughput of the sharded
 // engine (Shards=GOMAXPROCS, full telemetry — the exact Run path) in
 // node-steps per second. CI gates nodes=100 and nodes=1000 against
-// BENCH_fleet.json; nodes=10000 is the headline fleet-scale number.
+// BENCH.json; nodes=10000 is the headline fleet-scale number, measured
+// out of band (docs/FLEET.md) to keep CI wall-clock sane.
 func BenchmarkFleetSteps(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
@@ -66,7 +67,7 @@ func BenchmarkFleetSteps(b *testing.B) {
 // BenchmarkFleetStepsSingle is the pre-sharding baseline: the same
 // fleets through the retained single-engine reference path. The
 // node-steps/s ratio against BenchmarkFleetSteps is the honest
-// before/after for BENCH_fleet.json.
+// before/after for the serial table in docs/FLEET.md.
 func BenchmarkFleetStepsSingle(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {

@@ -76,8 +76,8 @@ func TestNoiseStudyDeterministicAcrossJobs(t *testing.T) {
 // BenchmarkFigure4aJobs measures the wall-clock effect of the worker
 // pool on the paper's largest single-system grid (Figure 4a: 20 apps ×
 // 3 governors × repeats). Jobs>GOMAXPROCS adds nothing on a small
-// machine; the committed BENCH_parallel.json records the measured
-// ratios with the GOMAXPROCS they were taken at.
+// machine; the pool suite of BENCH.json records the measured times
+// with the GOMAXPROCS they were taken at.
 func BenchmarkFigure4aJobs(b *testing.B) {
 	for _, jobs := range []int{1, 2, 4} {
 		b.Run(map[int]string{1: "jobs=1", 2: "jobs=2", 4: "jobs=4"}[jobs], func(b *testing.B) {

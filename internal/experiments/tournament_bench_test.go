@@ -7,7 +7,7 @@ import (
 )
 
 // benchTournamentOptions is the committed benchmark cell
-// (BENCH_checkpoint.json): a Figure 7-style sensitivity bracket of
+// (the tournament suite of BENCH.json): a Figure 7-style sensitivity bracket of
 // six near-default threshold variants around the base MAGUS on srad,
 // as a MagusOnly parameter-tuning sweep. Near-default variants share
 // long prefixes with the base run — most decisions are identical
@@ -56,7 +56,7 @@ func BenchmarkTournamentForked(b *testing.B)  { benchTournament(b, false) }
 func BenchmarkTournamentScratch(b *testing.B) { benchTournament(b, true) }
 
 // TestTournamentBenchGridIdentical pins the benchmark's own grid:
-// whatever speedup BENCH_checkpoint.json records, it is for output
+// whatever speedup BENCH.json records, it is for output
 // byte-identical to the scratch reference.
 func TestTournamentBenchGridIdentical(t *testing.T) {
 	if testing.Short() {

@@ -157,7 +157,7 @@ func TestRecordZeroAllocWhenFull(t *testing.T) {
 }
 
 // BenchmarkHotPathFlightRecord pins the per-event recording cost;
-// cmd/benchgate holds it to 0 allocs/op via BENCH_hotpath.json.
+// cmd/benchgate holds it to 0 allocs/op via BENCH.json.
 func BenchmarkHotPathFlightRecord(b *testing.B) {
 	r := NewRing(DefaultCap)
 	b.ReportAllocs()

@@ -14,8 +14,8 @@ import (
 // the engine NewSteppable builds (runner → node demand flow, node,
 // telemetry recorder reserved for the nominal duration, MAGUS governor
 // task): a steady-state engine tick heap-allocates nothing, both with
-// no observation sink armed and with the flight ring armed, which is
-// what every magusd serve session runs with.
+// the trace as the probe's only sink and with the flight ring armed,
+// which is what every magusd serve session runs with.
 func TestSteadyStateTickZeroAlloc(t *testing.T) {
 	prog, ok := workload.ByName("unet")
 	if !ok {
@@ -35,8 +35,8 @@ func TestSteadyStateTickZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (st.sinks == nil) != (tc.ring == nil) {
-				t.Fatalf("probe present = %v with flight armed = %v", st.sinks != nil, tc.ring != nil)
+			if st.sinks == nil || (st.sinks.flight == nil) != (tc.ring == nil) {
+				t.Fatalf("probe present = %v with flight armed = %v; the trace alone arms a probe", st.sinks != nil, tc.ring != nil)
 			}
 			// Warm past MDFS warmup, the first trace samples, and the
 			// phase transitions' first traversal so every lazily-grown

@@ -7,12 +7,13 @@ import (
 	"github.com/spear-repro/magus/internal/faults"
 	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/resilient"
+	"github.com/spear-repro/magus/internal/telemetry"
 )
 
-// A run's four optional observation sinks (Options.Tenants, Spans, Obs
-// and Flight) share one governor lookup, one decision hook and one
-// engine component, the probe; with no sink armed there is neither
-// hook nor probe.
+// A run's five optional observation sinks (Options.TraceInterval,
+// Tenants, Spans, Obs and Flight) share one governor lookup, one
+// decision hook and one engine component, the probe; with no sink armed
+// there is neither hook nor probe.
 
 // GovernorSurfaces is what observers read from a governor. A wrapper
 // that exposes Inner() governor.Governor (a *governor.PowerCapped, an
@@ -78,14 +79,19 @@ func resilienceCounters(inv uint64, r resilient.Counters) govCounters {
 
 // probe is the run's single observation component, added after the
 // node when any sink is armed. Each tick it steps the armed sinks in a
-// fixed order (attrib, spans, obs at its interval, flight) and reads
-// the sensor health and fault tally at most once for all of them. Each
-// sink keeps its own edge state; that state is what a checkpoint
-// captures.
+// fixed order (trace at its interval, attrib, spans, obs at its
+// interval, flight) and reads the sensor health and fault tally at most
+// once for all of them. Each sink keeps its own edge state; that state
+// is what a checkpoint captures.
 type probe struct {
 	health func() resilient.Health // nil when the governor reports none
 	fset   *faults.Set
+	// h and t are the health and tally read this tick; the trace's
+	// sensor_health and faults_injected columns sample them.
+	h resilient.Health
+	t faults.Tally
 
+	rec    *telemetry.Recorder
 	attrib *attribSampler
 	spans  *spanSampler
 	obs    *runObserver
@@ -94,22 +100,25 @@ type probe struct {
 
 // Step implements sim.Component.
 func (p *probe) Step(now, dt time.Duration) {
+	recDue := p.rec != nil && p.rec.Due(now)
+	obsDue := p.obs != nil && p.obs.due(now)
+	if recDue || obsDue || p.flight != nil {
+		p.h, p.t = p.read()
+	}
+	if recDue {
+		p.rec.Step(now, dt)
+	}
 	if p.attrib != nil {
 		p.attrib.step(dt)
 	}
 	if p.spans != nil {
 		p.spans.step(dt)
 	}
-	obsDue := p.obs != nil && p.obs.due(now)
-	if !obsDue && p.flight == nil {
-		return
-	}
-	h, t := p.read()
 	if obsDue {
-		p.obs.sample(now, h, t)
+		p.obs.sample(now, p.h, p.t)
 	}
 	if p.flight != nil {
-		p.flight.step(now, h, t)
+		p.flight.step(now, p.h, p.t)
 	}
 }
 

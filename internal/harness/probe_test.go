@@ -106,8 +106,8 @@ func (h *hookCounter) OnDecision(fn func(core.Decision)) {
 
 // TestOneDecisionHook: a run registers one decision hook however many
 // sinks consume decisions, none when no sink does, and a power cap
-// does not hide the hook target. The probe exists exactly when a sink
-// is armed.
+// does not hide the hook target. The probe exists exactly when a sink,
+// the trace included, is armed.
 func TestOneDecisionHook(t *testing.T) {
 	prog := mustProg(t, "bfs")
 	for _, tc := range []struct {
@@ -115,7 +115,8 @@ func TestOneDecisionHook(t *testing.T) {
 		opt   func() Options
 		hooks int
 	}{
-		{"no-sinks", func() Options { return Options{TraceInterval: 100 * time.Millisecond} }, 0},
+		{"no-sinks", func() Options { return Options{} }, 0},
+		{"trace", func() Options { return Options{TraceInterval: 100 * time.Millisecond} }, 0},
 		{"flight", func() Options { return Options{Flight: flight.NewRing(0)} }, 1},
 		{"all-sinks", func() Options {
 			return Options{
@@ -137,7 +138,7 @@ func TestOneDecisionHook(t *testing.T) {
 			if hc.hooks != tc.hooks {
 				t.Errorf("%s capped=%v: %d decision hooks registered, want %d", tc.name, capped, hc.hooks, tc.hooks)
 			}
-			if (st.sinks != nil) != (tc.hooks > 0) {
+			if (st.sinks != nil) != (tc.name != "no-sinks") {
 				t.Errorf("%s capped=%v: probe present = %v", tc.name, capped, st.sinks != nil)
 			}
 		}

@@ -162,28 +162,27 @@ func newSteppable(cfg node.Config, prog *workload.Program, gov governor.Governor
 	}))
 	eng.AddComponent(n)
 
-	gs := LookupGovernor(gov)
-	var rec *telemetry.Recorder
-	if opt.TraceInterval > 0 {
-		rec = NewNodeRecorder(n, opt.TraceInterval)
-		// The nominal horizon bounds the sample count; reserving up
-		// front keeps trace appends from reallocating mid run.
-		rec.Reserve(int(nominal/opt.TraceInterval) + 2)
-		if fset != nil {
-			rec.Track("faults_injected", func() float64 { return float64(fset.Tally().Total()) })
-		}
-		if gs.Health != nil {
-			rec.Track("sensor_health", func() float64 { return float64(gs.Health()) })
-		}
-		eng.AddComponent(rec)
-	}
-
 	// The probe reads state the node just computed, so it follows the
 	// node.
+	gs := LookupGovernor(gov)
 	var sinks *probe
+	var rec *telemetry.Recorder
 	govFn := gov.Invoke
-	if meter != nil || opt.Obs != nil || opt.Flight != nil || opt.Spans != nil {
+	if opt.TraceInterval > 0 || meter != nil || opt.Obs != nil || opt.Flight != nil || opt.Spans != nil {
 		sinks = &probe{health: gs.Health, fset: fset}
+		if opt.TraceInterval > 0 {
+			rec = NewNodeRecorder(n, opt.TraceInterval)
+			// The nominal horizon bounds the sample count; reserving up
+			// front keeps trace appends from reallocating mid run.
+			rec.Reserve(int(nominal/opt.TraceInterval) + 2)
+			if fset != nil {
+				rec.Track("faults_injected", func() float64 { return float64(sinks.t.Total()) })
+			}
+			if gs.Health != nil {
+				rec.Track("sensor_health", func() float64 { return float64(sinks.h) })
+			}
+			sinks.rec = rec
+		}
 		if meter != nil {
 			sinks.attrib = newAttribSampler(meter, n, mux.Tenants(), opt.Obs)
 		}

@@ -1,10 +1,5 @@
 package report
 
-import (
-	"fmt"
-	"io"
-)
-
 // DistRow is one distribution's quantile summary, flattened for
 // tabular rendering. As with WasteRow, the package deliberately does
 // not import internal/sketch — callers (experiments, magus-bench) map
@@ -31,21 +26,4 @@ func DistTable(rows []DistRow) *Table {
 		t.AddRow(r.Metric, r.Count, r.Min, r.P50, r.P90, r.P99, r.Max, r.Mean)
 	}
 	return t
-}
-
-// WriteDistCSV writes quantile-summary rows as CSV for replotting.
-func WriteDistCSV(w io.Writer, rows []DistRow) error {
-	if len(rows) == 0 {
-		return fmt.Errorf("report: no distribution rows to write")
-	}
-	if _, err := fmt.Fprintln(w, "metric,count,min,p50,p90,p99,max,mean"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f\n",
-			r.Metric, r.Count, r.Min, r.P50, r.P90, r.P99, r.Max, r.Mean); err != nil {
-			return err
-		}
-	}
-	return nil
 }

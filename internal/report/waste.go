@@ -1,10 +1,5 @@
 package report
 
-import (
-	"fmt"
-	"io"
-)
-
 // WasteRow is one attribution bucket of the spans ledger, flattened
 // for tabular rendering. The package deliberately does not import
 // internal/spans — callers (experiments, magus-bench) map ledger
@@ -40,21 +35,4 @@ func WasteTable(rows []WasteRow) *Table {
 			r.WasteFracPct(), r.BaselineJ+r.UsefulJ+r.WasteJ-r.TotalJ)
 	}
 	return t
-}
-
-// WriteWasteCSV writes attribution rows as CSV for replotting.
-func WriteWasteCSV(w io.Writer, rows []WasteRow) error {
-	if len(rows) == 0 {
-		return fmt.Errorf("report: no waste rows to write")
-	}
-	if _, err := fmt.Fprintln(w, "scope,baseline_j,useful_j,waste_j,total_j,waste_pct,seconds"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%.4f,%.4f,%.4f,%.4f,%.2f,%.3f\n",
-			r.Scope, r.BaselineJ, r.UsefulJ, r.WasteJ, r.TotalJ, r.WasteFracPct(), r.Seconds); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -25,25 +24,5 @@ func TestWasteRowFrac(t *testing.T) {
 	}
 	if got := (WasteRow{}).WasteFracPct(); got != 0 {
 		t.Errorf("zero-total WasteFracPct = %v, want 0", got)
-	}
-}
-
-func TestWriteWasteCSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteWasteCSV(&buf, []WasteRow{
-		{Scope: "run", BaselineJ: 1, UsefulJ: 2, WasteJ: 1, TotalJ: 4, Seconds: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 || !strings.HasPrefix(lines[0], "scope,baseline_j") {
-		t.Fatalf("csv output:\n%s", buf.String())
-	}
-	if !strings.Contains(lines[1], "run,1.0000,2.0000,1.0000,4.0000,25.00,2.000") {
-		t.Errorf("csv row: %s", lines[1])
-	}
-	if err := WriteWasteCSV(&buf, nil); err == nil {
-		t.Error("empty rows must error")
 	}
 }

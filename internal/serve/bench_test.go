@@ -12,7 +12,7 @@ import (
 
 // BenchmarkServeSessionLifecycle measures whole-tenant throughput:
 // admit a session, step its workload to completion, close it. This is
-// the sessions/sec figure in BENCH_serve.json.
+// the sessions/sec figure in BENCH.json.
 func BenchmarkServeSessionLifecycle(b *testing.B) {
 	mg := NewManager(Config{MaxSessions: 4, IdleExpiry: -1})
 	defer mg.Close(context.Background())
@@ -70,7 +70,7 @@ func BenchmarkServeStepRequest(b *testing.B) {
 
 // BenchmarkServeHTTPStep is the same request measured end to end over
 // the wire — JSON decode, mux, gate, session lock, JSON encode. This
-// is the requests/sec figure in BENCH_serve.json.
+// is the requests/sec figure in BENCH.json.
 func BenchmarkServeHTTPStep(b *testing.B) {
 	mg := NewManager(Config{MaxSessions: 4, IdleExpiry: -1})
 	defer mg.Close(context.Background())

@@ -103,13 +103,14 @@ func Slot(v float64) int {
 	if !(v >= MinValue) {
 		return 0
 	}
-	idx := int(math.Ceil(math.Log(v) * invLogGamma))
-	if idx < minIndex {
-		idx = minIndex
-	} else if idx > maxIndex {
-		idx = maxIndex
+	// Clamp as a float: int(+Inf) is the minimum int on amd64.
+	idx := math.Ceil(math.Log(v) * invLogGamma)
+	if idx < float64(minIndex) {
+		idx = float64(minIndex)
+	} else if idx > float64(maxIndex) {
+		idx = float64(maxIndex)
 	}
-	return idx - minIndex + 1
+	return int(idx) - minIndex + 1
 }
 
 // AddSlot is Add(v) for a v whose Slot is slot.

@@ -83,15 +83,23 @@ func TestNaNIgnored(t *testing.T) {
 	}
 }
 
+// TestClampAboveRange: every sample above MaxValue, +Inf included,
+// clamps into the last bucket and ranks above every finite sample.
 func TestClampAboveRange(t *testing.T) {
-	s := New()
-	s.Add(5e14) // above MaxValue: clamps into the last bucket
-	if s.Count() != 1 {
-		t.Fatalf("count = %d", s.Count())
-	}
-	q, _ := s.Quantile(0.5)
-	if q != s.Max() {
-		t.Fatalf("clamped sample quantile = %v, want exact max %v", q, s.Max())
+	top := Slot(MaxValue)
+	for _, v := range []float64{5e14, math.MaxFloat64, math.Inf(1)} {
+		if got := Slot(v); got != top {
+			t.Fatalf("Slot(%v) = %d, want the top bucket %d", v, got, top)
+		}
+		s := New()
+		s.Add(v)
+		if s.Count() != 1 {
+			t.Fatalf("count = %d", s.Count())
+		}
+		q, _ := s.Quantile(0.5)
+		if q != s.Max() {
+			t.Fatalf("clamped sample quantile = %v, want exact max %v", q, s.Max())
+		}
 	}
 }
 
@@ -258,7 +266,7 @@ func TestMergeZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkHotPathSketchAdd pins the fold cost inside the fleet tick;
-// cmd/benchgate holds it to 0 allocs/op via BENCH_hotpath.json.
+// cmd/benchgate holds it to 0 allocs/op via BENCH.json.
 func BenchmarkHotPathSketchAdd(b *testing.B) {
 	s := New()
 	b.ReportAllocs()

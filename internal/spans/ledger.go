@@ -9,7 +9,6 @@ package spans
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -331,14 +330,6 @@ func (l *Ledger) Tenants() []TenantEnergy {
 	for i, name := range l.tenantNames {
 		out = append(out, TenantEnergy{Name: name, Energy: l.tenantAttr[i]})
 	}
-	return out
-}
-
-// PhasesSorted returns per-phase attribution sorted by name (for
-// deterministic tabular output regardless of schedule order).
-func (l *Ledger) PhasesSorted() []PhaseEnergy {
-	out := l.Phases()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

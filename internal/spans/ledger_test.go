@@ -188,11 +188,6 @@ func TestLedgerPhaseAttribution(t *testing.T) {
 	if math.Abs(phaseSum-tr.Ledger().Run().TotalJ) > 1e-9 {
 		t.Errorf("phase totals %v != run total %v", phaseSum, tr.Ledger().Run().TotalJ)
 	}
-
-	sorted := tr.Ledger().PhasesSorted()
-	if sorted[0].Name != "stream" || sorted[1].Name != "warmup" {
-		t.Errorf("PhasesSorted order = %q,%q", sorted[0].Name, sorted[1].Name)
-	}
 }
 
 // TestEnergyAttrHelpers covers the small accessors.

@@ -16,12 +16,6 @@ func TestMeanStd(t *testing.T) {
 	if got := Mean(xs); !almost(got, 5, 1e-12) {
 		t.Fatalf("Mean = %v, want 5", got)
 	}
-	if got := StdDev(xs); !almost(got, 2, 1e-12) {
-		t.Fatalf("StdDev = %v, want 2", got)
-	}
-	if StdDev([]float64{3}) != 0 {
-		t.Fatal("StdDev of singleton != 0")
-	}
 }
 
 func TestMinMax(t *testing.T) {

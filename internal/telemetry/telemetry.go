@@ -7,7 +7,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -162,7 +161,7 @@ func (r *Recorder) Track(name string, probe func() float64) {
 // the tick that happened to cross it; re-anchoring stretched the
 // cadence whenever the engine step did not divide the interval.
 func (r *Recorder) Step(now, dt time.Duration) {
-	if now < r.next {
+	if !r.Due(now) {
 		return
 	}
 	sec := now.Seconds()
@@ -173,6 +172,9 @@ func (r *Recorder) Step(now, dt time.Duration) {
 		r.next += r.interval
 	}
 }
+
+// Due reports whether Step at now takes a sample.
+func (r *Recorder) Due(now time.Duration) bool { return now >= r.next }
 
 // Reserve grows every tracked series' capacity to hold at least samples
 // points, so a run of known horizon records without reallocating mid
@@ -228,12 +230,4 @@ func BurstJaccard(baseline, other *Series, bins int, thresholdFrac float64) floa
 		return 1
 	}
 	return float64(inter) / float64(union)
-}
-
-// SortedNames returns the recorder's probe names sorted, for stable
-// output in reports.
-func (r *Recorder) SortedNames() []string {
-	out := r.Names()
-	sort.Strings(out)
-	return out
 }

@@ -200,10 +200,6 @@ func TestRecorder(t *testing.T) {
 	if len(names) != 2 || names[0] != "x" || names[1] != "twice" {
 		t.Fatalf("Names = %v", names)
 	}
-	sorted := r.SortedNames()
-	if sorted[0] != "twice" || sorted[1] != "x" {
-		t.Fatalf("SortedNames = %v", sorted)
-	}
 }
 
 // TestRecorderGridCadence: with an interval the engine step does not

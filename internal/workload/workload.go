@@ -314,15 +314,6 @@ func (r *Runner) Demand() Demand { return r.demand }
 // Program returns the bound program.
 func (r *Runner) Program() *Program { return r.prog }
 
-// PhaseIndex returns the executed-phase cursor (counting repeats), or
-// -1 once the program has completed.
-func (r *Runner) PhaseIndex() int {
-	if r.done {
-		return -1
-	}
-	return r.phaseIdx
-}
-
 // PhaseName returns the active phase's name, or "done" after the
 // program completes — the waste ledger's per-phase attribution key.
 func (r *Runner) PhaseName() string {

@@ -155,8 +155,8 @@ func TestFleetDistExposition(t *testing.T) {
 	}
 }
 
-// TestFoldMemoMatchesDirectFold pins integrate's memos against the
-// unmemoised fold: after every tick of a shard whose members run, then
+// TestFoldMemoMatchesDirectFold pins integrate's Decompose memo against
+// the unmemoised fold: after every tick of a shard whose members run, then
 // finish and settle, its sketches and waste ledger equal those built by
 // calling Decompose and Sketch.Add on the same node readings.
 func TestFoldMemoMatchesDirectFold(t *testing.T) {

@@ -7,60 +7,54 @@ import (
 	"github.com/spear-repro/magus/internal/core"
 	"github.com/spear-repro/magus/internal/governor"
 	"github.com/spear-repro/magus/internal/node"
-	"github.com/spear-repro/magus/internal/sim"
 	"github.com/spear-repro/magus/internal/workload"
 )
 
-// BenchmarkHotPathSpansDisabledTick measures one steady-state engine
-// tick with the full Run wiring and no tracer attached — the exact
-// configuration TestSteadyStateTickZeroAlloc pins at zero allocations.
-// The row exists so cmd/benchgate keeps gating the spans-disabled hot
-// path at 0 allocs/op: the tracing layer must stay free when off.
+// BenchmarkHotPathSpansDisabledTick measures one engine tick of a
+// running cell: UNet on Intel+A100 under MAGUS, wired by NewSteppable
+// with the trace as the probe's only sink and no tracer — the
+// configuration TestSteadyStateTickZeroAlloc pins at zero allocations,
+// so cmd/benchgate keeps the spans-disabled hot path at 0 allocs/op.
+// The run is checkpointed 20 s in, past MDFS warm-up and lazy buffer
+// growth, and every tickSegment timed ticks it is resumed from that
+// checkpoint outside the timer. UNet runs until ≈50 s, so every timed
+// tick, for any b.N, is a tick of the running workload, the tick the
+// per-layer benchmarks (engine, demand, node step) add up to.
 func BenchmarkHotPathSpansDisabledTick(b *testing.B) {
-	cfg := node.IntelA100()
 	prog, ok := workload.ByName("unet")
 	if !ok {
 		b.Fatal("unknown workload unet")
 	}
-	eng := sim.NewEngine(0)
-	n := node.New(cfg)
-	runner := workload.NewRunner(prog, cfg.SystemBWGBs(), 1)
-	runner.SetAttained(n.AttainedGBs)
-
-	gov := core.New(core.DefaultConfig())
-	env, _, err := buildEnv(n, nil, nil)
+	newGov := func() governor.Governor { return core.New(core.DefaultConfig()) }
+	st, err := NewSteppable(node.IntelA100(), prog, newGov(), Options{Seed: 1, TraceInterval: 100 * time.Millisecond})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := gov.Attach(env); err != nil {
+	st.eng.RunFor(20 * time.Second)
+	ckpt, err := st.Checkpoint()
+	if err != nil {
 		b.Fatal(err)
 	}
-
-	eng.AddComponent(sim.ComponentFunc(func(now, dt time.Duration) {
-		runner.Step(now, dt)
-		n.SetDemand(runner.Demand())
-	}))
-	eng.AddComponent(n)
-
-	// Reserve trace storage for the benchmark's whole virtual horizon
-	// (b.N engine ticks past warm-up), as Run reserves for its horizon —
-	// otherwise recorder growth past the nominal duration shows up as
-	// amortised bytes that have nothing to do with the tick loop.
-	interval := 100 * time.Millisecond
-	rec := NewNodeRecorder(n, interval)
-	rec.Reserve(int(prog.NominalDuration()/interval) + b.N/100 + 256)
-	eng.AddComponent(rec)
-
-	eng.AddTask(&sim.Task{Name: gov.Name(), Interval: gov.Interval(), Fn: gov.Invoke}, 0)
-
-	// Warm past MDFS warmup and lazy buffer growth, as the alloc test does.
-	eng.RunFor(20 * time.Second)
-	step := eng.Step()
+	const tickSegment = 20000 // 20 s of 1 ms ticks
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.RunFor(step)
+		if i > 0 && i%tickSegment == 0 {
+			b.StopTimer()
+			if st.WorkloadDone() {
+				b.Fatal("the workload finished inside a timed segment")
+			}
+			if st, err = Resume(ckpt, ResumeOptions{Gov: newGov()}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		st.Tick()
+	}
+	b.StopTimer()
+	if st.WorkloadDone() {
+		b.Fatal("the workload finished inside a timed segment")
 	}
 }
 

@@ -59,15 +59,31 @@ func TestStepZeroAllocWithDaemon(t *testing.T) {
 	}
 }
 
+// relPow is the oracle relPowMemo must match: math.Pow clamped to 0 and
+// 1 outside (0, 1).
+func relPow(rel, exp float64) float64 {
+	if rel <= 0 {
+		return 0
+	}
+	if rel >= 1 {
+		return 1
+	}
+	return math.Pow(rel, exp)
+}
+
 // TestRelPowMemoMatchesRelPow pins the memoised power-law evaluation to
 // the reference relPow: identical bits for every input, including the
-// clamped edges, repeated keys, and enough distinct keys to cycle the
-// memo's round-robin eviction.
+// clamped edges, each preset's lowest relative core frequency, repeated
+// keys, and enough distinct keys to cycle the memo's round-robin
+// eviction.
 func TestRelPowMemoMatchesRelPow(t *testing.T) {
 	n := New(IntelA100())
 	exp := n.cfg.Core.FreqExp
 	rng := rand.New(rand.NewSource(42))
 	inputs := []float64{0, -0.5, 1, 1.5, 0.5, 0.5, 0.123456789}
+	for _, cfg := range []Config{IntelA100(), IntelMax1550()} {
+		inputs = append(inputs, cfg.CoreMinGHz/cfg.CoreMaxGHz)
+	}
 	for i := 0; i < 5000; i++ {
 		inputs = append(inputs, rng.Float64())
 	}

@@ -7,6 +7,7 @@ import (
 	"github.com/spear-repro/magus/internal/cpufreq"
 	"github.com/spear-repro/magus/internal/gpudvfs"
 	"github.com/spear-repro/magus/internal/msr"
+	"github.com/spear-repro/magus/internal/power"
 	"github.com/spear-repro/magus/internal/workload"
 )
 
@@ -62,8 +63,13 @@ type Node struct {
 	// per-core sweep publishes every CPU once instead of once per read.
 	ctrsMoved bool
 	// quiet reports that the last full step moved no state but the
-	// accumulators; qDemand, qDt and qIPC below hold its inputs then.
+	// accumulators and idle cores' frequencies; qDemand, qDt, qIPC and
+	// qAlpha below hold its inputs then.
 	quiet bool
+	// idleSettled reports that the last replay left every idle core's
+	// frequency bit-identical, so later replays, until the next full
+	// step, would too and skip them.
+	idleSettled bool
 
 	gpus []*gpuState
 
@@ -95,22 +101,25 @@ type Node struct {
 	limMin []float64 // decoded uncore min limit (GHz)
 	pl1W   []float64 // decoded RAPL PL1 cap (W)
 	pl1On  []bool    // PL1 enable bit
-	// relPow memo keyed on the exact bits of its input: cores sharing a
-	// utilisation history share bit-identical frequencies, so a step
-	// computes only a handful of distinct math.Pow values.
+	// corePow is rel ↦ rel^Core.FreqExp, its exponent split once here.
+	// The memo below keys it on the exact bits of its input: cores
+	// sharing a utilisation history share bit-identical frequencies, so
+	// a step computes only a handful of distinct powers.
+	corePow power.Pow
 	powKey  [8]uint64
 	powVal  [8]float64
 	powLen  int
 	powIns  int
 	powMiss uint64 // memo misses ever; a miss mutates the memo
 
-	// The demand, step length and achieved IPC of the last full step,
-	// recorded when it left the node quiet. A step whose inputs match
-	// bit for bit would compute exactly what that step computed, so
-	// Step replays only its accumulations (see replay).
+	// The demand, step length, achieved IPC and P-state blend factor of
+	// the last full step, recorded when it left the node quiet. A step
+	// whose inputs match bit for bit would compute exactly what that
+	// step computed, so Step replays it (see replay).
 	qDemand workload.Demand
 	qDt     time.Duration
 	qIPC    float64
+	qAlpha  float64
 	// noReplay forces every step down the full path (tests compare the
 	// two paths bit for bit).
 	noReplay bool
@@ -147,6 +156,7 @@ func New(cfg Config) *Node {
 		limMin:       make([]float64, cfg.Sockets),
 		pl1W:         make([]float64, cfg.Sockets),
 		pl1On:        make([]bool, cfg.Sockets),
+		corePow:      cfg.Core.FreqPow(),
 		ctrsMoved:    true,
 	}
 	for s := 0; s < cfg.Sockets; s++ {
@@ -360,10 +370,14 @@ func sameDemand(a, b workload.Demand) bool {
 // same reports bit equality.
 func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// replay performs exactly the accumulations of a full step whose
-// computed values all equal the previous step's, in the full step's
-// order and with its expressions: served GB, the counters of every
-// busy core, package/DRAM joules and RAPL units, and GPU energy.
+// replay performs exactly what a full step does when every value it
+// computes equals the previous step's, in the full step's order and with
+// its expressions: served GB, the counters of every busy core,
+// package/DRAM joules and RAPL units, and GPU energy. It also steps each
+// idle core below the watermark towards MinGHz, as the full step does:
+// an idle core's frequency feeds nothing else a step computes, so its
+// decay does not stop the replay. Once a replay moves no idle core they
+// are all at a fixed point, and later replays skip them.
 func (n *Node) replay(dtSec float64) {
 	n.ctrsMoved = true
 	for s := 0; s < n.cfg.Sockets; s++ {
@@ -371,6 +385,8 @@ func (n *Node) replay(dtSec float64) {
 	}
 	n.servedGB += n.attained * dtSec
 	ipc := n.qIPC
+	decay := !n.idleSettled
+	n.idleSettled = true
 	for s := 0; s < n.cfg.Sockets; s++ {
 		base := s * n.cfg.CoresPerSocket
 		for cpu := base; cpu < base+n.maxActive[s]; cpu++ {
@@ -378,6 +394,11 @@ func (n *Node) replay(dtSec float64) {
 				cyc := n.pstates[cpu].Current() * 1e9 * util * dtSec
 				n.cycAcc[cpu] += cyc
 				n.instAcc[cpu] += cyc * ipc
+			} else if decay {
+				prev := n.pstates[cpu].Current()
+				if !same(n.pstates[cpu].StepAlpha(0, n.qAlpha), prev) {
+					n.idleSettled = false
+				}
 			}
 		}
 	}
@@ -402,9 +423,11 @@ func (n *Node) step(dt time.Duration) {
 		n.refreshLimits()
 	}
 	// moved: this step changed state the next step reads. A drained
-	// daemon entry, a new P-state or uncore frequency, a memo miss and a
-	// republished status all count; refreshed limits do not, since the
-	// next step compares the limit generation itself.
+	// daemon entry, a busy core's new P-state, a new utilisation or
+	// uncore frequency, a memo miss and a republished status all count;
+	// refreshed limits do not, since the next step compares the limit
+	// generation itself, and neither does an idle core's decay, which
+	// replay repeats.
 	moved := n.daemonHead < len(n.daemon)
 	misses := n.powMiss
 	// One blend factor per controller family: every core shares
@@ -539,7 +562,7 @@ func (n *Node) step(dt time.Duration) {
 			}
 			n.coreUtil[cpu] = util
 			f := n.pstates[cpu].StepAlpha(util, coreAlpha)
-			if !same(f, prev) {
+			if util > 0 && !same(f, prev) {
 				moved = true
 			}
 			if util > 0 {
@@ -626,8 +649,9 @@ func (n *Node) step(dt time.Duration) {
 	}
 
 	n.quiet = !moved && n.powMiss == misses && !n.noReplay
+	n.idleSettled = false
 	if n.quiet {
-		n.qDemand, n.qDt, n.qIPC = n.demand, dt, ipc
+		n.qDemand, n.qDt, n.qIPC, n.qAlpha = n.demand, dt, ipc, coreAlpha
 	}
 }
 
@@ -666,12 +690,13 @@ func (n *Node) flushEnergy() {
 	}
 }
 
-// relPowMemo is relPow(rel, cfg.Core.FreqExp) behind a tiny
-// direct-search memo keyed on the exact bits of rel. math.Pow is pure,
-// so a hit returns the identical float64 the call would have produced —
-// byte-identity is preserved by construction. Cores whose utilisation
-// histories match carry bit-identical frequencies, so a step needs only
-// a handful of distinct evaluations.
+// relPowMemo is rel^cfg.Core.FreqExp, clamped to 0 and 1 outside
+// (0, 1), behind a tiny direct-search memo keyed on the exact bits of
+// rel. The power is pure, so a hit returns the identical float64 the
+// evaluation would have produced — byte-identity is preserved by
+// construction. Cores whose utilisation histories match carry
+// bit-identical frequencies, so a step needs only a handful of distinct
+// evaluations.
 func (n *Node) relPowMemo(rel float64) float64 {
 	if rel <= 0 {
 		return 0
@@ -686,7 +711,7 @@ func (n *Node) relPowMemo(rel float64) float64 {
 		}
 	}
 	n.powMiss++
-	v := math.Pow(rel, n.cfg.Core.FreqExp)
+	v := n.corePow.Of(rel)
 	if n.powLen < len(n.powKey) {
 		n.powKey[n.powLen] = key
 		n.powVal[n.powLen] = v
@@ -753,15 +778,4 @@ func (d nodeDevice) Write(cpu int, reg uint32, val uint64) error {
 		d.n.flushEnergy()
 	}
 	return d.n.space.Write(cpu, reg, val)
-}
-
-// relPow is a clamped power-law helper.
-func relPow(rel, exp float64) float64 {
-	if rel <= 0 {
-		return 0
-	}
-	if rel >= 1 {
-		return 1
-	}
-	return math.Pow(rel, exp)
 }

@@ -20,7 +20,8 @@ func stateBits(n *Node) string { return fmt.Sprintf("%v", n.State()) }
 // TestQuietReplayMatchesFullPath drives a replaying node and one forced
 // down the full path with the same inputs and requires bit-equal
 // State() after every step. Each case must take the replay path on some
-// steps, or it tests nothing.
+// steps, or it tests nothing; a decay case must also replay steps that
+// move an idle core's frequency.
 func TestQuietReplayMatchesFullPath(t *testing.T) {
 	busy := workload.Demand{MemGBs: 150, CPUBusyCores: 12, MemBoundFrac: 0.6, GPUSMUtil: 0.9, GPUMemUtil: 0.5}
 	negZero := math.Copysign(0, -1)
@@ -39,6 +40,7 @@ func TestQuietReplayMatchesFullPath(t *testing.T) {
 		// nodes when fresh is set and into the running ones otherwise.
 		snapAt, restoreAt int
 		fresh             bool
+		decay             bool
 		steps             int
 		drive             func(n *Node, i int)
 	}{
@@ -93,6 +95,16 @@ func TestQuietReplayMatchesFullPath(t *testing.T) {
 					n.SetDemand(workload.Demand{})
 				}
 			}},
+		// One burst makes core 0 busy for 5 ms; it then decays to
+		// MinGHz over a few hundred replayed steps. Both checkpoints
+		// fall inside the decay.
+		{name: "daemon burst, idle decay, checkpoint mid-decay", steps: 3000, snapAt: 1030, restoreAt: 1060, decay: true,
+			drive: func(n *Node, i int) {
+				n.SetDemand(workload.Demand{})
+				if i == 1000 {
+					n.AddDaemonBusy(5*time.Millisecond, 1, 0.5)
+				}
+			}},
 		{name: "-0 demand", steps: 4000, drive: func(n *Node, i int) {
 			d := workload.Demand{}
 			if (i/500)%2 == 1 {
@@ -106,7 +118,7 @@ func TestQuietReplayMatchesFullPath(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fast, full := New(IntelA100()), New(IntelA100())
 			full.noReplay = true
-			replays := 0
+			replays, decays := 0, 0
 			var snapFast, snapFull State
 			for i := 0; i < tc.steps; i++ {
 				if i == tc.snapAt && i > 0 {
@@ -129,22 +141,33 @@ func TestQuietReplayMatchesFullPath(t *testing.T) {
 				}
 				tc.drive(fast, i)
 				tc.drive(full, i)
-				if fast.canReplay(dt) {
-					replays++
-				}
+				replaying := fast.canReplay(dt)
+				before := coreFreqs(fast)
 				fast.Step(time.Duration(i)*dt, dt)
 				full.Step(time.Duration(i)*dt, dt)
 				if a, b := stateBits(fast), stateBits(full); a != b {
 					t.Fatalf("step %d: replayed state differs from the full path's", i)
 				}
+				if replaying {
+					replays++
+					if coreFreqs(fast) != before {
+						decays++
+					}
+				}
 			}
 			if replays == 0 {
 				t.Fatal("no step took the replay path")
 			}
-			t.Logf("%d of %d steps replayed", replays, tc.steps)
+			if tc.decay && decays == 0 {
+				t.Fatal("no replayed step moved an idle core")
+			}
+			t.Logf("%d of %d steps replayed, %d of them moving an idle core", replays, tc.steps, decays)
 		})
 	}
 }
+
+// coreFreqs renders every core's frequency bit for bit.
+func coreFreqs(n *Node) string { return fmt.Sprintf("%v", n.State().CoreGHz) }
 
 // TestLazyRAPLMatchesEager checks that deferring the RAPL publish never
 // shows: a node that publishes after every step (the eager reference)

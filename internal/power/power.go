@@ -40,14 +40,65 @@ func (p CoreParams) Validate() error {
 	return nil
 }
 
-// Power returns the core-domain watts for busyCores cores (may be
-// fractional) running at relFreq (f/fmax, clamped to [0,1]).
-func (p CoreParams) Power(busyCores, relFreq float64) float64 {
-	if busyCores < 0 {
-		busyCores = 0
+// FreqPow returns x ↦ x^FreqExp for the relative core frequencies the
+// node's power model raises to the exponent. Validate guarantees the
+// exponent lies in [1, 3.5], the domain Pow is exact on.
+func (p CoreParams) FreqPow() Pow { return newPow(p.FreqExp) }
+
+// Pow evaluates x^y for one fixed exponent y in [1, 3.5] and x in
+// (0, 1), bit-equal to math.Pow(x, y) at less than half its cost.
+//
+// For such inputs math.Pow splits y into an integer part yi and a
+// fraction yf in [-0.5, 0.5], computes a = Exp(yf·Log(x)), and
+// multiplies a by x^yi through repeated squaring of Frexp-normalised
+// mantissas, finishing with Ldexp. Scaling by a power of two is exact
+// while every value stays normal, so the same products on the
+// unnormalised values round to the same bits: for x ≥ 2^-64 every
+// factor and partial product here lies within [2^-256, 2^32]. Pow
+// therefore keeps math.Pow's operations and their order and drops only
+// the scaling, with y split once. Smaller x falls back to math.Pow.
+// Where math.Pow is not the portable Go algorithm (s390x implements it
+// in assembly), Pow is the portable algorithm (DESIGN.md).
+type Pow struct {
+	y  float64
+	yi int
+	yf float64
+}
+
+// newPow splits y as math.Pow does. It panics outside [1, 3.5].
+func newPow(y float64) Pow {
+	if !(y >= 1 && y <= 3.5) {
+		panic(fmt.Sprintf("power: exponent %v outside [1, 3.5]", y))
 	}
-	relFreq = clamp01(relFreq)
-	return p.IdleWatts + p.MaxPerCoreWatts*busyCores*pow(relFreq, p.FreqExp)
+	yi, yf := math.Modf(y)
+	if yf > 0.5 {
+		yf--
+		yi++
+	}
+	return Pow{y: y, yi: int(yi), yf: yf}
+}
+
+// minExactPowBase is 2^-64, the least base Of evaluates without
+// math.Pow.
+var minExactPowBase = math.Ldexp(1, -64)
+
+// Of returns x^y for x in (0, 1).
+func (p Pow) Of(x float64) float64 {
+	if x < minExactPowBase {
+		return math.Pow(x, p.y)
+	}
+	a := 1.0
+	if p.yf != 0 {
+		a = math.Exp(p.yf * math.Log(x))
+	}
+	x1 := x
+	for i := p.yi; i != 0; i >>= 1 {
+		if i&1 == 1 {
+			a *= x1
+		}
+		x1 *= x1
+	}
+	return a
 }
 
 // UncoreParams models one socket's uncore domain (LLC, memory
@@ -146,5 +197,3 @@ func clamp01(x float64) float64 {
 	}
 	return x
 }
-
-func pow(x, e float64) float64 { return math.Pow(x, e) }

@@ -2,34 +2,10 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestCorePower(t *testing.T) {
-	p := CoreParams{IdleWatts: 35, MaxPerCoreWatts: 2.5, FreqExp: 2.4}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Power(0, 1); got != 35 {
-		t.Fatalf("idle power = %v, want 35", got)
-	}
-	if got := p.Power(40, 1); got != 35+100 {
-		t.Fatalf("full power = %v, want 135", got)
-	}
-	// Frequency scaling reduces active power superlinearly.
-	half := p.Power(40, 0.5)
-	if half <= 35 || half >= 35+50 {
-		t.Fatalf("half-freq power = %v, want in (35, 85)", half)
-	}
-	// Clamping.
-	if p.Power(-3, 1) != 35 {
-		t.Fatal("negative busyCores not clamped")
-	}
-	if p.Power(40, 2) != 135 {
-		t.Fatal("relFreq > 1 not clamped")
-	}
-}
 
 func TestUncorePower(t *testing.T) {
 	p := UncoreParams{BaseWatts: 6, DynMaxWatts: 47, TrafficWattsPerGBs: 0.02}
@@ -104,7 +80,6 @@ func TestValidateRejects(t *testing.T) {
 
 // Properties: power is non-negative and monotone in each driver.
 func TestPowerMonotonicity(t *testing.T) {
-	core := CoreParams{IdleWatts: 30, MaxPerCoreWatts: 2.5, FreqExp: 2.4}
 	unc := UncoreParams{BaseWatts: 6, DynMaxWatts: 47, TrafficWattsPerGBs: 0.02}
 	gpu := GPUParams{IdleWatts: 30, MaxWatts: 250, ComputeShare: 0.7}
 
@@ -115,21 +90,68 @@ func TestPowerMonotonicity(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		if core.Power(lo*40, 1) > core.Power(hi*40, 1)+1e-9 {
-			return false
-		}
-		if core.Power(20, lo) > core.Power(20, hi)+1e-9 {
-			return false
-		}
 		if unc.Power(lo, 50) > unc.Power(hi, 50)+1e-9 {
 			return false
 		}
 		if gpu.Power(lo, 1, 0.5) > gpu.Power(hi, 1, 0.5)+1e-9 {
 			return false
 		}
-		return core.Power(lo*40, hi) >= 0 && unc.Power(lo, hi*300) >= 0
+		return unc.Power(lo, hi*300) >= 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPowMatchesMathPow pins Pow bit for bit to math.Pow, its oracle:
+// 207 exponents (the fixed set below plus 200 drawn from [1, 3.5]),
+// each over 100,000 bases drawn log-uniformly from [2^-64, 1) and
+// uniformly from (0, 1), plus the edges: 2^-64 and the float below it
+// (the math.Pow fallback), the float below 1, and each preset's
+// CoreMinGHz/CoreMaxGHz, the lowest relative frequency a core runs at.
+func TestPowMatchesMathPow(t *testing.T) {
+	exps := []float64{1, 2, 2.4, 2.5, 2.6, 3, 3.5}
+	rng := rand.New(rand.NewSource(27))
+	for len(exps) < 207 {
+		exps = append(exps, 1+2.5*rng.Float64())
+	}
+	// CoreMinGHz, CoreMaxGHz of node.IntelA100 (and its GPU variants),
+	// node.IntelMax1550 and hsmp.AMDEpycMI250.
+	presets := [][2]float64{{0.8, 3.4}, {0.8, 3.5}, {1.5, 3.7}}
+	edges := []float64{minExactPowBase, math.Nextafter(minExactPowBase, 0), math.Nextafter(1, 0)}
+	for _, p := range presets {
+		lo, hi := p[0], p[1] // variables: a constant quotient would round once at compile time
+		edges = append(edges, lo/hi)
+	}
+	const perExp = 100000
+	for _, y := range exps {
+		p := newPow(y)
+		check := func(x float64) {
+			if got, want := p.Of(x), math.Pow(x, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Pow(%v).Of(%v) = %v, math.Pow = %v", y, x, got, want)
+			}
+		}
+		for _, x := range edges {
+			check(x)
+		}
+		for i := 0; i < perExp/2; i++ {
+			check(math.Exp2(-64 * rng.Float64()))
+			if x := rng.Float64(); x > 0 {
+				check(x)
+			}
+		}
+	}
+}
+
+func TestPowRejectsOutsideDomain(t *testing.T) {
+	for _, y := range []float64{0.5, 0.999, 3.51, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("newPow(%v) did not panic", y)
+				}
+			}()
+			newPow(y)
+		}()
 	}
 }

@@ -40,7 +40,7 @@ const MinValue = 1e-9
 // into the final bucket.
 const MaxValue = 1e12
 
-// invLogGamma is 1/ln(γ), precomputed so Add performs one Log, one
+// invLogGamma is 1/ln(γ), precomputed so logSlot performs one Log, one
 // multiply and one Ceil.
 var invLogGamma = 1 / math.Log(Gamma)
 
@@ -93,13 +93,45 @@ func (s *Sketch) Reset() {
 // beyond range clamps, so it is safe inside the fleet engine's
 // zero-alloc steady-state tick. NaN samples are ignored (a NaN would
 // poison min/max and cannot be ranked).
-func (s *Sketch) Add(v float64) { s.AddSlot(v, Slot(v)) }
+func (s *Sketch) Add(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
+	s.n++
+	if v < s.min {
+		s.min = v
+	}
+	if v > s.max {
+		s.max = v
+	}
+	if slot := Slot(v); slot == 0 {
+		s.zero++
+	} else {
+		s.counts[slot-1]++
+	}
+}
 
 // Slot returns the bucket Add files v under: 0 for the zero bucket,
-// k ≥ 1 for log bucket minIndex+k-1. It is a pure function of v's bits,
-// so a caller that folds the same value again and again may keep the
-// slot and call AddSlot, skipping the logarithm.
+// k ≥ 1 for log bucket minIndex+k-1. It equals logSlot(v) for every v,
+// from a table: one load and at most one comparison.
 func Slot(v float64) int {
+	if !(v >= MinValue) {
+		return 0
+	}
+	k := math.Float64bits(v)>>keyShift - keyLo
+	if k >= uint64(len(slotAt)) {
+		return len(next) - 1
+	}
+	slot := int(slotAt[k])
+	if v >= next[slot] {
+		slot++
+	}
+	return slot
+}
+
+// logSlot is the bucket layout's definition, ceil(log_γ v) clamped to
+// [minIndex, maxIndex] and shifted to a slot. Slot tabulates it.
+func logSlot(v float64) int {
 	if !(v >= MinValue) {
 		return 0
 	}
@@ -113,23 +145,79 @@ func Slot(v float64) int {
 	return int(idx) - minIndex + 1
 }
 
-// AddSlot is Add(v) for a v whose Slot is slot.
-func (s *Sketch) AddSlot(v float64, slot int) {
-	if math.IsNaN(v) {
-		return
+// Slot's table. logSlot is a monotone step function of v's bits, so
+// its ≈2,400 thresholds are found once, at package init, by a search
+// over float bits from each threshold's estimate. The table is keyed on
+// a float's exponent and top keyBits mantissa bits from MinValue's key
+// to MaxValue's: one key spans a ratio of at most 1+2^-keyBits ≈ 1.0078,
+// narrower than γ ≈ 1.0202, so a key holds at most one threshold
+// (buildSlotTable checks it) and a lookup compares against one.
+const (
+	keyBits  = 7
+	keyShift = 52 - keyBits
+)
+
+var (
+	keyLo = math.Float64bits(MinValue) >> keyShift
+	// slotAt[k] is the slot of the least value at or above MinValue
+	// whose key is keyLo+k.
+	slotAt []int16
+	// next[s] is the least value whose slot exceeds s; next[top] is +Inf.
+	next []float64
+)
+
+func init() { slotAt, next = buildSlotTable() }
+
+// buildSlotTable finds logSlot's thresholds and keys them.
+func buildSlotTable() ([]int16, []float64) {
+	top := maxIndex - minIndex + 1
+	if top > math.MaxInt16 {
+		panic("sketch: slot count overflows the table")
 	}
-	s.n++
-	if v < s.min {
-		s.min = v
+	next := make([]float64, top+1)
+	next[0] = MinValue
+	for s := 1; s < top; s++ {
+		// Slot s+1 starts where log(v)·invLogGamma passes minIndex+s-1.
+		next[s] = leastWithSlot(s+1, math.Exp(float64(minIndex+s-1)/invLogGamma))
 	}
-	if v > s.max {
-		s.max = v
+	next[top] = math.Inf(1)
+
+	slotAt := make([]int16, math.Float64bits(MaxValue)>>keyShift-keyLo+1)
+	s := 1
+	for k := range slotAt {
+		lo := math.Float64frombits((keyLo + uint64(k)) << keyShift)
+		hi := math.Float64frombits((keyLo + uint64(k) + 1) << keyShift)
+		for next[s] <= lo {
+			s++
+		}
+		if s < top && next[s+1] < hi {
+			panic("sketch: two bucket thresholds share a table key")
+		}
+		slotAt[k] = int16(s)
 	}
-	if slot == 0 {
-		s.zero++
-		return
+	return slotAt, next
+}
+
+// leastWithSlot returns the least float whose logSlot is at least k. It
+// gallops out from guess until it brackets the threshold, then bisects
+// the bracket's bits.
+func leastWithSlot(k int, guess float64) float64 {
+	at := func(b uint64) bool { return logSlot(math.Float64frombits(b)) >= k }
+	lo, hi := math.Float64bits(guess), math.Float64bits(guess)
+	for d := uint64(1); at(lo); d <<= 1 {
+		hi, lo = lo, lo-d
 	}
-	s.counts[slot-1]++
+	for d := uint64(1); !at(hi); d <<= 1 {
+		lo, hi = hi, hi+d
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; at(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Float64frombits(hi)
 }
 
 // Merge folds o into s. Merging is commutative and associative

@@ -103,6 +103,61 @@ func TestClampAboveRange(t *testing.T) {
 	}
 }
 
+// TestSlotMatchesLogSlot pins the table-driven Slot to its definition,
+// logSlot, the oracle: on 40M inputs (half log-uniform over the
+// resolved range and a decade either side, half raw float bits, which
+// covers negatives, NaNs and infinities), on every threshold ±64 ulps,
+// and on the special values.
+func TestSlotMatchesLogSlot(t *testing.T) {
+	check := func(v float64) {
+		if got, want := Slot(v), logSlot(v); got != want {
+			t.Fatalf("Slot(%v) [%#x] = %d, logSlot = %d", v, math.Float64bits(v), got, want)
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), -1, -MinValue, math.NaN(), math.Inf(1), math.Inf(-1),
+		MinValue, math.Nextafter(MinValue, 0), math.Nextafter(MinValue, 1),
+		MaxValue, math.Nextafter(MaxValue, 0), math.Nextafter(MaxValue, math.Inf(1)),
+		5e14, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		check(v)
+	}
+	for s := 0; s < len(next)-1; s++ {
+		b := math.Float64bits(next[s])
+		for d := uint64(0); d <= 64; d++ {
+			check(math.Float64frombits(b - d))
+			check(math.Float64frombits(b + d))
+		}
+	}
+	rng := rand.New(rand.NewSource(27))
+	lo, hi := math.Log(MinValue/10), math.Log(MaxValue*10)
+	for i := 0; i < 20_000_000; i++ {
+		check(math.Exp(lo + (hi-lo)*rng.Float64()))
+		check(math.Float64frombits(rng.Uint64()))
+	}
+}
+
+// TestSlotTableShape checks the table's own invariants: thresholds rise
+// strictly, each threshold is the least value of its slot, and the top
+// slot is reached below MaxValue, so every value above the table's
+// keys belongs to it.
+func TestSlotTableShape(t *testing.T) {
+	top := len(next) - 1
+	if top != maxIndex-minIndex+1 {
+		t.Fatalf("%d thresholds, want %d", top, maxIndex-minIndex+1)
+	}
+	for s := 0; s < top; s++ {
+		if s > 0 && !(next[s] > next[s-1]) {
+			t.Fatalf("threshold %d (%v) does not rise above %v", s, next[s], next[s-1])
+		}
+		if logSlot(next[s]) != s+1 || logSlot(math.Nextafter(next[s], 0)) != s {
+			t.Fatalf("threshold %d (%v) is not the least value of slot %d", s, next[s], s+1)
+		}
+	}
+	if !(next[top-1] < MaxValue) {
+		t.Fatalf("top slot starts at %v, above MaxValue", next[top-1])
+	}
+	t.Logf("%d keys, %d thresholds, %d table bytes", len(slotAt), top, 2*len(slotAt)+8*len(next))
+}
+
 // TestQuantileRelativeError checks the sketch's contract: reported
 // quantiles are within Alpha relative error of an exact sample.
 func TestQuantileRelativeError(t *testing.T) {
